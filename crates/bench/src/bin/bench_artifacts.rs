@@ -52,15 +52,14 @@ use vcps_bench::{
     shard_ingest_workload,
 };
 use vcps_bitarray::{combined_zero_count, combined_zero_count_adaptive, select_pair_kernel};
-use vcps_core::{RsuId, Scheme};
+use vcps_core::{RsuId, Scheme, VolumeHistory};
 use vcps_sim::concurrent::{
     default_threads, ingest_parallel, ingest_parallel_obs, MutexRsu, SharedRsu,
 };
-use vcps_sim::engine::PeriodSettings;
 use vcps_sim::pki::TrustedAuthority;
 use vcps_sim::{
-    build_metro, run_metro_sharded_threads, BatchUpload, BatchUploadRef, CentralServer,
-    MetroConfig, PeriodUpload, ShardedServer,
+    build_metro, BatchUpload, BatchUploadRef, CentralServer, MetroConfig, PeriodRun,
+    PeriodSettings, PeriodUpload, ShardedServer,
 };
 
 const ARRAY_BITS: usize = 1 << 20;
@@ -788,35 +787,39 @@ fn bench_metro(samples: usize) -> String {
     let nodes = workload.net.node_count();
     let link_times = workload.net.free_flow_times();
     let scheme = Scheme::variable(2, 3.0, METRO_SEED).expect("valid scheme");
-    let settings = PeriodSettings {
-        seed: METRO_SEED,
-        ..PeriodSettings::default()
-    };
-    let obs = vcps_obs::Obs::disabled();
     let threads = default_threads();
 
     let run = |shards: usize, threads: usize| {
-        run_metro_sharded_threads(
-            &scheme,
-            &workload.net,
-            &link_times,
-            &workload.periods,
-            &workload.initial_history,
-            &settings,
-            shards,
-            METRO_PERIODS, // window: hold every period for per-period scoring
+        let config = PeriodRun {
+            settings: PeriodSettings {
+                seed: METRO_SEED,
+                ..PeriodSettings::default()
+            },
             threads,
-            &obs,
-        )
-        .expect("metro run")
+            // Hold every period for per-period scoring.
+            window: Some(METRO_PERIODS),
+            ..PeriodRun::default()
+        };
+        ShardedServer::new(scheme.clone(), VolumeHistory::DEFAULT_ALPHA, shards)
+            .and_then(|server| {
+                config.run(
+                    server,
+                    &workload.net,
+                    &link_times,
+                    &workload.periods,
+                    &workload.initial_history,
+                )
+            })
+            .expect("metro run")
     };
 
     // One reference run supplies the accuracy scalars; the window holds
     // one O–D matrix per period, oldest first.
     let reference = run(4, threads);
     let uploads = reference.uploads_delivered;
+    let window = reference.window.expect("window configured");
     let mut accuracy_rows = String::new();
-    for (period, matrix) in reference.window.iter().enumerate() {
+    for (period, matrix) in window.iter().enumerate() {
         let truth = &workload.truth[period];
         let mut scored = 0usize;
         let mut total_error = 0.0;

@@ -31,16 +31,15 @@
 
 use vcps_bench::peak_rss_bytes;
 use vcps_core::Scheme;
+use vcps_core::VolumeHistory;
 use vcps_experiments::{
     arg_flag, arg_value, choose_novel_load_factor, default_threads, obs_from_args, text_table,
     write_obs_json, PRIVACY_TARGET,
 };
-use vcps_sim::engine::PeriodSettings;
-use vcps_sim::metro::{MetroRun, SlidingWindow};
 use vcps_sim::{
-    build_metro, run_metro_faulty_monolith_threads, run_metro_faulty_sharded_threads,
-    run_metro_monolith_threads, run_metro_sharded_threads, FaultMetrics, FaultPlan, LinkFaults,
-    MetroConfig, MetroLayout, MetroWorkload, RetryPolicy,
+    build_metro, CentralServer, FaultMetrics, FaultPlan, LinkFaults, MetroConfig, MetroLayout,
+    MetroWorkload, PeriodRun, PeriodSettings, RetryPolicy, RunOutcome, ShardedServer,
+    SlidingWindow,
 };
 
 struct Outcome {
@@ -93,7 +92,7 @@ fn score_accuracy(
 
 /// Checks every observable surface of the two runs for bit-identity —
 /// the DESIGN.md §20 conformance contract the metro-smoke CI job gates.
-fn runs_agree<A, B>(sharded: &MetroRun<A>, mono: &MetroRun<B>) -> bool {
+fn runs_agree<A, B>(sharded: &RunOutcome<A>, mono: &RunOutcome<B>) -> bool {
     sharded.window == mono.window
         && sharded.sizes_per_period == mono.sizes_per_period
         && sharded.exchanges_per_period == mono.exchanges_per_period
@@ -102,90 +101,31 @@ fn runs_agree<A, B>(sharded: &MetroRun<A>, mono: &MetroRun<B>) -> bool {
         && sharded.undelivered_per_period == mono.undelivered_per_period
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run(
     workload: &MetroWorkload,
     scheme: &Scheme,
-    settings: &PeriodSettings,
+    config: &PeriodRun,
     shards: usize,
-    threads: usize,
-    window: usize,
-    faults: bool,
     truth_floor: f64,
-    seed: u64,
     obs: &vcps_obs::Obs,
 ) -> Outcome {
     let link_times = workload.net.free_flow_times();
-    let plan = FaultPlan::new(seed ^ 0xFA_17)
-        .with_report_link(LinkFaults::none().with_drop(0.1).with_bit_flip(0.02))
-        .with_upload_link(LinkFaults::none().with_drop(0.3).with_duplicate(0.1));
-    let policy = RetryPolicy::default();
-
-    let sharded = if faults {
-        run_metro_faulty_sharded_threads(
-            scheme,
-            &workload.net,
-            &link_times,
-            &workload.periods,
-            &workload.initial_history,
-            settings,
-            &plan,
-            &policy,
-            shards,
-            window,
-            threads,
-            obs,
-        )
-        .expect("sharded faulty metro run")
-    } else {
-        run_metro_sharded_threads(
-            scheme,
-            &workload.net,
-            &link_times,
-            &workload.periods,
-            &workload.initial_history,
-            settings,
-            shards,
-            window,
-            threads,
-            obs,
-        )
-        .expect("sharded metro run")
-    };
-    let mono = if faults {
-        run_metro_faulty_monolith_threads(
-            scheme,
-            &workload.net,
-            &link_times,
-            &workload.periods,
-            &workload.initial_history,
-            settings,
-            &plan,
-            &policy,
-            window,
-            threads,
-            &vcps_obs::Obs::disabled(),
-        )
-        .expect("monolithic faulty metro run")
-    } else {
-        run_metro_monolith_threads(
-            scheme,
-            &workload.net,
-            &link_times,
-            &workload.periods,
-            &workload.initial_history,
-            settings,
-            window,
-            threads,
-            &vcps_obs::Obs::disabled(),
-        )
-        .expect("monolithic metro run")
-    };
+    let (net, periods, history) = (&workload.net, &workload.periods, &workload.initial_history);
+    let sharded = ShardedServer::new(scheme.clone(), VolumeHistory::DEFAULT_ALPHA, shards)
+        .and_then(|server| {
+            let server = server.with_obs(obs.clone());
+            config.run(server, net, &link_times, periods, history)
+        })
+        .expect("sharded metro run");
+    let mono = CentralServer::new(scheme.clone(), VolumeHistory::DEFAULT_ALPHA)
+        .and_then(|server| config.run(server, net, &link_times, periods, history))
+        .expect("monolithic metro run");
     let sharded_equal = runs_agree(&sharded, &mono);
+    let window = sharded.window.expect("window configured");
 
     let nodes = workload.net.node_count();
     let (accuracy_pairs, mean_relative_error, degraded_entries) = score_accuracy(
-        &sharded.window,
+        &window,
         workload.truth.last().expect("at least one period"),
         nodes,
         truth_floor,
@@ -207,7 +147,7 @@ fn run(
         undelivered: sharded.undelivered_per_period.iter().map(Vec::len).sum(),
         faults: faults_total,
         sharded_equal,
-        window: sharded.window,
+        window,
     }
 }
 
@@ -304,22 +244,22 @@ fn main() {
     let s = 2usize;
     let scheme = Scheme::variable(s, choose_novel_load_factor(s, PRIVACY_TARGET), seed)
         .expect("valid scheme");
-    let settings = PeriodSettings {
-        seed,
-        ..PeriodSettings::default()
-    };
-    let outcome = run(
-        &workload,
-        &scheme,
-        &settings,
-        shards,
+    let config = PeriodRun {
+        settings: PeriodSettings {
+            seed,
+            ..PeriodSettings::default()
+        },
         threads,
-        window,
-        faults,
-        truth_floor,
-        seed,
-        &obs,
-    );
+        faults: faults.then(|| {
+            let plan = FaultPlan::new(seed ^ 0xFA_17)
+                .with_report_link(LinkFaults::none().with_drop(0.1).with_bit_flip(0.02))
+                .with_upload_link(LinkFaults::none().with_drop(0.3).with_duplicate(0.1));
+            (plan, RetryPolicy::default())
+        }),
+        window: Some(window),
+        crash: None,
+    };
+    let outcome = run(&workload, &scheme, &config, shards, truth_floor, &obs);
 
     let payload = payload_json(
         &outcome,

@@ -36,23 +36,18 @@
 //!                         fault counters, phase timings) and write the
 //!                         registry snapshot as JSON to PATH
 
-use std::path::Path;
-use vcps_core::estimator::Estimate;
 use vcps_core::{PairEstimate, RsuId, Scheme};
 use vcps_experiments::{
     arg_flag, arg_value, choose_novel_load_factor, default_threads, obs_from_args, text_table,
     write_obs_json, PRIVACY_TARGET,
 };
-use vcps_obs::Obs;
 use vcps_roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes};
 use vcps_roadnet::{expand_vehicle_trips, sioux_falls, RoadNetwork, VehicleTrip};
 
-use vcps_sim::engine::{
-    run_network_period_durable_faulty_sharded_threads_obs,
-    run_network_period_faulty_sharded_threads_obs, run_network_period_faulty_threads_obs,
-    DurableFaultyShardedNetworkRun, FaultyNetworkRun, FaultyShardedNetworkRun,
+use vcps_sim::{
+    CentralServer, DurableOptions, DurableServer, FaultPlan, LinkFaults, PeriodRun, PeriodSettings,
+    RetryPolicy, RunOutcome, ServerBackend, ShardedServer,
 };
-use vcps_sim::{DurableOptions, FaultMetrics, FaultPlan, LinkFaults, RetryPolicy, SimError};
 
 /// The Table-I `R_x` node labels, measured against `R_y` = node 10.
 const PAIR_LABELS: [usize; 8] = [15, 12, 7, 24, 6, 18, 2, 3];
@@ -83,112 +78,136 @@ fn parse_rates(raw: &str) -> Vec<f64> {
         .collect()
 }
 
-/// One fault-injected period, behind either server shape. The sweeps
-/// below only need estimates and fault metrics, which the sharding
-/// layer's conformance contract guarantees are bit-identical — so the
-/// two variants share this thin facade instead of duplicating sweeps.
-enum PointRun {
-    Mono(FaultyNetworkRun),
-    Sharded(FaultyShardedNetworkRun),
-    Durable(DurableFaultyShardedNetworkRun),
-}
-
-impl PointRun {
-    fn faults(&self) -> &FaultMetrics {
-        match self {
-            PointRun::Mono(run) => &run.faults,
-            PointRun::Sharded(run) => &run.faults,
-            PointRun::Durable(run) => &run.faults,
-        }
-    }
-
-    fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
-        match self {
-            PointRun::Mono(run) => run.server.estimate_or_clamp(a, b),
-            PointRun::Sharded(run) => run.server.estimate_or_clamp(a, b),
-            PointRun::Durable(run) => run.server.estimate_or_clamp(a, b),
-        }
-    }
-
-    fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
-        match self {
-            PointRun::Mono(run) => run.server.estimate_or_degraded(a, b),
-            PointRun::Sharded(run) => run.server.estimate_or_degraded(a, b),
-            PointRun::Durable(run) => run.server.estimate_or_degraded(a, b),
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_point(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    vehicles: &[VehicleTrip],
-    history: &[f64],
+/// The Sioux Falls period every sweep point replays, with only the
+/// fault plan varying.
+struct Sweep<'a> {
+    net: &'a RoadNetwork,
+    link_times: &'a [f64],
+    vehicles: &'a [VehicleTrip],
+    history: &'a [f64],
     seed: u64,
-    plan: &FaultPlan,
     threads: usize,
-    shards: Option<usize>,
-    wal_dir: Option<&Path>,
-    obs: &Obs,
-) -> PointRun {
-    if let Some(dir) = wal_dir {
-        return PointRun::Durable(
-            run_network_period_durable_faulty_sharded_threads_obs(
-                scheme,
-                net,
-                link_times,
-                vehicles,
-                history,
-                3_600.0,
-                seed,
-                plan,
-                &RetryPolicy::default(),
-                shards.unwrap_or(1),
-                dir,
-                DurableOptions::log_only(),
-                None,
-                threads,
-                obs,
-            )
-            .expect("durable fault-injected period failed"),
-        );
+    /// `(R_x node, true n_c)` against `R_y` = `y`.
+    pairs: &'a [(usize, f64)],
+    y: usize,
+}
+
+impl Sweep<'_> {
+    /// One fault-injected period through a fresh server from `server`.
+    /// The sweeps only need estimates and fault metrics, which the
+    /// sharding and durability conformance contracts guarantee are
+    /// bit-identical across server shapes.
+    fn point<S: ServerBackend>(&self, server: S, plan: FaultPlan) -> RunOutcome<S> {
+        PeriodRun {
+            settings: PeriodSettings {
+                period_length: 3_600.0,
+                seed: self.seed,
+            },
+            threads: self.threads,
+            faults: Some((plan, RetryPolicy::default())),
+            ..PeriodRun::default()
+        }
+        .run(
+            server,
+            self.net,
+            self.link_times,
+            &[self.vehicles],
+            self.history,
+        )
+        .expect("fault-injected period failed")
     }
-    match shards {
-        None => PointRun::Mono(
-            run_network_period_faulty_threads_obs(
-                scheme,
-                net,
-                link_times,
-                vehicles,
-                history,
-                3_600.0,
-                seed,
-                plan,
-                &RetryPolicy::default(),
-                threads,
-                obs,
-            )
-            .expect("fault-injected period failed"),
-        ),
-        Some(k) => PointRun::Sharded(
-            run_network_period_faulty_sharded_threads_obs(
-                scheme,
-                net,
-                link_times,
-                vehicles,
-                history,
-                3_600.0,
-                seed,
-                plan,
-                &RetryPolicy::default(),
-                k,
-                threads,
-                obs,
-            )
-            .expect("sharded fault-injected period failed"),
-        ),
+
+    fn report_loss<S: ServerBackend>(
+        &self,
+        server: impl Fn() -> S,
+        rates: &[f64],
+    ) -> Vec<ReportLossPoint> {
+        rates
+            .iter()
+            .map(|&p| {
+                let plan =
+                    FaultPlan::new(self.seed).with_report_link(LinkFaults::none().with_drop(p));
+                let run = self.point(server(), plan);
+                let mut bias_sum = 0.0;
+                let mut abs_sum = 0.0;
+                for &(x, truth) in self.pairs {
+                    let est = run
+                        .server
+                        .estimate_or_clamp(RsuId(x as u64), RsuId(self.y as u64))
+                        .expect("measured estimate under report loss");
+                    let rel = (est.n_c - truth) / truth;
+                    bias_sum += rel;
+                    abs_sum += rel.abs();
+                }
+                ReportLossPoint {
+                    rate: p,
+                    measured_loss: run.faults_per_period[0].report_link.loss_fraction(),
+                    mean_bias: bias_sum / self.pairs.len() as f64,
+                    predicted_bias: (1.0 - p) * (1.0 - p) - 1.0,
+                    mean_abs_err: abs_sum / self.pairs.len() as f64,
+                }
+            })
+            .collect()
+    }
+
+    fn upload_loss<S: ServerBackend>(
+        &self,
+        server: impl Fn() -> S,
+        rates: &[f64],
+    ) -> Vec<UploadLossPoint> {
+        rates
+            .iter()
+            .map(|&p| {
+                let plan =
+                    FaultPlan::new(self.seed).with_upload_link(LinkFaults::none().with_drop(p));
+                let run = self.point(server(), plan);
+                let mut degraded = 0usize;
+                let mut answered = 0usize;
+                let mut abs_sum = 0.0;
+                let mut measured = 0usize;
+                for &(x, truth) in self.pairs {
+                    let est = run
+                        .server
+                        .estimate_or_degraded(RsuId(x as u64), RsuId(self.y as u64))
+                        .expect("every pair answerable under upload loss");
+                    answered += 1;
+                    match est {
+                        PairEstimate::Degraded(_) => degraded += 1,
+                        PairEstimate::Measured(m) => {
+                            abs_sum += ((m.n_c - truth) / truth).abs();
+                            measured += 1;
+                        }
+                    }
+                }
+                let faults = &run.faults_per_period[0];
+                UploadLossPoint {
+                    rate: p,
+                    attempts: faults.upload_attempts,
+                    retries: faults.upload_retries,
+                    abandoned: faults.uploads_abandoned,
+                    degraded_pairs: degraded,
+                    answered_pairs: answered,
+                    mean_abs_err_measured: if measured > 0 {
+                        abs_sum / measured as f64
+                    } else {
+                        f64::NAN
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Both sweeps through servers built by `server`.
+    fn both<S: ServerBackend>(
+        &self,
+        server: impl Fn() -> S,
+        report_rates: &[f64],
+        upload_rates: &[f64],
+    ) -> (Vec<ReportLossPoint>, Vec<UploadLossPoint>) {
+        (
+            self.report_loss(&server, report_rates),
+            self.upload_loss(&server, upload_rates),
+        )
     }
 }
 
@@ -255,94 +274,51 @@ fn main() {
         println!("pairs: eight Table-I R_x nodes vs node {Y_LABEL}\n");
     }
 
-    // ---- Sweep 1: report loss ------------------------------------------
-    let report_points: Vec<ReportLossPoint> = report_rates
-        .iter()
-        .map(|&p| {
-            let plan = FaultPlan::new(seed).with_report_link(LinkFaults::none().with_drop(p));
-            let run = run_point(
-                &scheme,
-                &net,
-                &link_times,
-                &vehicles,
-                &history,
-                seed,
-                &plan,
-                threads,
-                shards,
-                wal_dir.as_deref(),
-                &obs,
-            );
-            let mut bias_sum = 0.0;
-            let mut abs_sum = 0.0;
-            for &(x, truth) in &pairs {
-                let est = run
-                    .estimate_or_clamp(RsuId(x as u64), RsuId(y as u64))
-                    .expect("measured estimate under report loss");
-                let rel = (est.n_c - truth) / truth;
-                bias_sum += rel;
-                abs_sum += rel.abs();
-            }
-            ReportLossPoint {
-                rate: p,
-                measured_loss: run.faults().report_link.loss_fraction(),
-                mean_bias: bias_sum / pairs.len() as f64,
-                predicted_bias: (1.0 - p) * (1.0 - p) - 1.0,
-                mean_abs_err: abs_sum / pairs.len() as f64,
-            }
-        })
-        .collect();
-
-    // ---- Sweep 2: upload loss ------------------------------------------
-    let upload_points: Vec<UploadLossPoint> = upload_rates
-        .iter()
-        .map(|&p| {
-            let plan = FaultPlan::new(seed).with_upload_link(LinkFaults::none().with_drop(p));
-            let run = run_point(
-                &scheme,
-                &net,
-                &link_times,
-                &vehicles,
-                &history,
-                seed,
-                &plan,
-                threads,
-                shards,
-                wal_dir.as_deref(),
-                &obs,
-            );
-            let mut degraded = 0usize;
-            let mut answered = 0usize;
-            let mut abs_sum = 0.0;
-            let mut measured = 0usize;
-            for &(x, truth) in &pairs {
-                let est = run
-                    .estimate_or_degraded(RsuId(x as u64), RsuId(y as u64))
-                    .expect("every pair answerable under upload loss");
-                answered += 1;
-                match est {
-                    PairEstimate::Degraded(_) => degraded += 1,
-                    PairEstimate::Measured(m) => {
-                        abs_sum += ((m.n_c - truth) / truth).abs();
-                        measured += 1;
-                    }
-                }
-            }
-            UploadLossPoint {
-                rate: p,
-                attempts: run.faults().upload_attempts,
-                retries: run.faults().upload_retries,
-                abandoned: run.faults().uploads_abandoned,
-                degraded_pairs: degraded,
-                answered_pairs: answered,
-                mean_abs_err_measured: if measured > 0 {
-                    abs_sum / measured as f64
-                } else {
-                    f64::NAN
-                },
-            }
-        })
-        .collect();
+    let sweep = Sweep {
+        net: &net,
+        link_times: &link_times,
+        vehicles: &vehicles,
+        history: &history,
+        seed,
+        threads,
+        pairs: &pairs,
+        y,
+    };
+    let (report_points, upload_points) = match (&wal_dir, shards) {
+        (Some(dir), k) => sweep.both(
+            || {
+                DurableServer::create(
+                    scheme.clone(),
+                    1.0,
+                    k.unwrap_or(1),
+                    dir,
+                    DurableOptions::log_only(),
+                    &obs,
+                )
+                .expect("create durable server")
+            },
+            &report_rates,
+            &upload_rates,
+        ),
+        (None, Some(k)) => sweep.both(
+            || {
+                ShardedServer::new(scheme.clone(), 1.0, k)
+                    .expect("valid shard count")
+                    .with_obs(obs.clone())
+            },
+            &report_rates,
+            &upload_rates,
+        ),
+        (None, None) => sweep.both(
+            || {
+                CentralServer::new(scheme.clone(), 1.0)
+                    .expect("valid server")
+                    .with_obs(obs.clone())
+            },
+            &report_rates,
+            &upload_rates,
+        ),
+    };
 
     if json {
         let report_json: Vec<String> = report_points

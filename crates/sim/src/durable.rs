@@ -34,14 +34,18 @@
 //! stops at the first corrupt record, never panics, and never applies
 //! a record that failed its checksum. See DESIGN.md §17.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use vcps_core::CoreError;
+use vcps_core::estimator::Estimate;
+use vcps_core::{CoreError, PairEstimate, RsuId, Scheme};
 use vcps_durable::{read_wal, CheckpointStore, DurabilityError, FlushPolicy, WalWriter};
 use vcps_obs::{Level, Obs, Phase, Value};
 
+use crate::engine::ServerBackend;
+use crate::faults::SequencedSink;
 use crate::protocol::{BatchUpload, BatchUploadRef, CheckpointSet, SequencedUpload};
-use crate::{ReceiveOutcome, ShardedServer, SimError};
+use crate::{OdMatrix, ReceiveOutcome, ShardedServer, SimError};
 
 /// File name of the frame log inside a durability directory.
 pub const WAL_FILE: &str = "frames.wal";
@@ -136,6 +140,8 @@ pub struct DurableServer {
     options: DurableOptions,
     records_logged: u64,
     last_checkpoint: u64,
+    /// A WAL failure stashed by the infallible [`SequencedSink`] path.
+    sink_error: Option<Box<SimError>>,
 }
 
 impl DurableServer {
@@ -170,7 +176,7 @@ impl DurableServer {
     /// or checkpoint interval, and [`SimError::Durability`] if the
     /// directory or log cannot be created.
     pub fn create(
-        scheme: vcps_core::Scheme,
+        scheme: Scheme,
         history_alpha: f64,
         shard_count: usize,
         dir: &Path,
@@ -191,6 +197,7 @@ impl DurableServer {
             options,
             records_logged: 0,
             last_checkpoint: 0,
+            sink_error: None,
         })
     }
 
@@ -216,7 +223,7 @@ impl DurableServer {
     /// or logically corrupted store — checksums catch random damage
     /// first). Never panics.
     pub fn recover(
-        scheme: vcps_core::Scheme,
+        scheme: Scheme,
         history_alpha: f64,
         shard_count: usize,
         dir: &Path,
@@ -296,9 +303,37 @@ impl DurableServer {
                 options,
                 records_logged: total,
                 last_checkpoint: start,
+                sink_error: None,
             },
             report,
         ))
+    }
+
+    /// Simulates a process crash and restart: drops every in-memory
+    /// structure — shard state, dedup bookkeeping, history, and any
+    /// group-commit-buffered WAL records — and rebuilds the deployment
+    /// from its directory via [`recover`](Self::recover) with the same
+    /// scheme, alpha, topology, options, and observability handle.
+    /// History seeds are configuration, not logged state: re-apply them
+    /// unless a checkpoint restored them.
+    ///
+    /// # Errors
+    ///
+    /// As [`recover`](Self::recover).
+    pub fn crash_and_recover(self) -> Result<(Self, RecoveryReport), SimError> {
+        let scheme = self.inner.scheme().clone();
+        let history_alpha = self.inner.history_alpha();
+        let shard_count = self.inner.shard_count();
+        let obs = self.obs().clone();
+        let options = self.options;
+        let dir = self
+            .wal
+            .path()
+            .parent()
+            .expect("the WAL lives inside the deployment directory")
+            .to_path_buf();
+        drop(self);
+        Self::recover(scheme, history_alpha, shard_count, &dir, options, &obs)
     }
 
     /// Applies one logged wire frame through the normal receive paths,
@@ -474,9 +509,7 @@ impl DurableServer {
     ///
     /// Propagates sizing failures and [`SimError::Durability`] from the
     /// checkpoint publication.
-    pub fn finish_period(
-        &mut self,
-    ) -> Result<std::collections::BTreeMap<vcps_core::RsuId, usize>, SimError> {
+    pub fn finish_period(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
         let sizes = self.inner.finish_period()?;
         self.checkpoint_now()?;
         Ok(sizes)
@@ -506,7 +539,7 @@ impl DurableServer {
     /// [`ShardedServer::seed_history`]). Seeds are engine-provided
     /// configuration, not logged state — a recovering driver re-applies
     /// them after [`recover`](Self::recover).
-    pub fn seed_history(&mut self, rsu: vcps_core::RsuId, average: f64) {
+    pub fn seed_history(&mut self, rsu: RsuId, average: f64) {
         self.inner.seed_history(rsu, average);
     }
 
@@ -530,66 +563,80 @@ impl DurableServer {
     }
 }
 
-/// Adapts a [`DurableServer`] to the infallible
-/// [`crate::faults::SequencedSink`] trait so the retrying upload path
-/// ([`crate::faults::upload_with_retry`]) can deliver into it: the
-/// trait returns plain outcomes, so a WAL failure is *stashed* instead
-/// of propagated — the sink stops applying frames (returning a
-/// placeholder [`ReceiveOutcome::Stale`]) and the driver must check
-/// [`take_error`](DurableSink::take_error) after each delivery session
-/// and abort the run on `Some`.
-#[derive(Debug)]
-pub struct DurableSink<'a> {
-    server: &'a mut DurableServer,
-    error: Option<SimError>,
-}
-
-impl<'a> DurableSink<'a> {
-    /// Wraps a durable server for one delivery session.
-    pub fn new(server: &'a mut DurableServer) -> Self {
-        Self {
-            server,
-            error: None,
-        }
-    }
-
-    /// The first durability failure since construction (or the last
-    /// [`take_error`](Self::take_error)), if any. Once set, subsequent
-    /// frames were not logged or applied.
-    pub fn take_error(&mut self) -> Option<SimError> {
-        self.error.take()
-    }
-}
-
-impl crate::faults::SequencedSink for DurableSink<'_> {
+/// The retrying upload path ([`crate::faults::upload_with_retry`])
+/// delivers through the infallible [`SequencedSink`] trait, so a WAL
+/// failure is *stashed* instead of propagated: once set, later frames
+/// are neither logged nor applied (a placeholder
+/// [`ReceiveOutcome::Stale`] stands in) until the driver collects it
+/// with [`ServerBackend::take_sink_error`] after the delivery session.
+impl SequencedSink for DurableServer {
     fn ingest_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
-        if self.error.is_some() {
+        if self.sink_error.is_some() {
             return ReceiveOutcome::Stale;
         }
-        match self.server.receive_sequenced(sequenced) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.error = Some(e);
-                ReceiveOutcome::Stale
-            }
-        }
+        self.receive_sequenced(sequenced).unwrap_or_else(|e| {
+            self.sink_error = Some(Box::new(e));
+            ReceiveOutcome::Stale
+        })
     }
 
     fn ingest_batch(&mut self, batch: BatchUpload) -> Vec<ReceiveOutcome> {
-        if self.error.is_some() {
+        if self.sink_error.is_some() {
             return Vec::new();
         }
-        match self.server.receive_batch(batch) {
-            Ok(outcomes) => outcomes,
-            Err(e) => {
-                self.error = Some(e);
-                Vec::new()
-            }
-        }
+        self.receive_batch(batch).unwrap_or_else(|e| {
+            self.sink_error = Some(Box::new(e));
+            Vec::new()
+        })
     }
 
     fn sink_obs(&self) -> &Obs {
-        self.server.obs()
+        self.obs()
+    }
+}
+
+impl ServerBackend for DurableServer {
+    fn scheme(&self) -> &Scheme {
+        self.inner.scheme()
+    }
+
+    fn seed(&mut self, rsu: RsuId, average: f64) {
+        self.seed_history(rsu, average);
+    }
+
+    fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
+        self.finish_period()
+    }
+
+    fn od(&self, threads: usize) -> Result<OdMatrix, SimError> {
+        self.inner.od_matrix_threads(threads)
+    }
+
+    fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
+        self.inner.estimate_or_clamp(a, b)
+    }
+
+    fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
+        self.inner.estimate_or_degraded(a, b)
+    }
+
+    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError> {
+        let count = frames.len();
+        let wire = BatchUpload::new(frames)?.encode();
+        self.receive_batch_wire(&wire)?;
+        Ok(count)
+    }
+
+    fn take_sink_error(&mut self) -> Option<SimError> {
+        self.sink_error.take().map(|e| *e)
+    }
+
+    fn records_logged(&self) -> u64 {
+        self.records_logged
+    }
+
+    fn crash_and_recover(self) -> Result<(Self, RecoveryReport), SimError> {
+        DurableServer::crash_and_recover(self)
     }
 }
 

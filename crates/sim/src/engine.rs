@@ -4,30 +4,34 @@
 //! vehicle trip table under the Sioux Falls network". This module turns
 //! per-vehicle routes ([`vcps_roadnet::VehicleTrip`]) into a time-ordered
 //! stream of RSU arrivals (each arrival triggers one query/answer
-//! exchange) and runs a complete measurement period over a whole
-//! network: every node hosts an RSU, every arrival records one passage,
-//! every RSU uploads to the [`CentralServer`] at period end.
+//! exchange) and runs the paper's measurement loop over a whole network
+//! with one driver, [`PeriodRun`]: every node hosts an RSU, every
+//! arrival records one passage, every RSU uploads at period end, and
+//! each period's counters size the next period's arrays. The server
+//! shape — monolithic, sharded, or write-ahead-logged — is a
+//! [`ServerBackend`] type parameter, so every shape runs the same code.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use vcps_core::{RsuId, Scheme, VehicleIdentity};
+use vcps_core::estimator::Estimate;
+use vcps_core::{CoreError, PairEstimate, RsuId, Scheme, VehicleIdentity};
 use vcps_hash::splitmix64;
-use vcps_obs::{Obs, Phase};
+use vcps_obs::Phase;
 use vcps_roadnet::{RoadNetwork, VehicleTrip};
 
-use std::path::Path;
-
 use crate::concurrent::{self, SharedRsu};
-use crate::durable::{DurableOptions, DurableServer, DurableSink, RecoveryReport};
-use crate::faults::{self, Channel, FaultPlan, RetryPolicy, ServerCrash};
+use crate::durable::RecoveryReport;
+use crate::faults::{self, Channel, FaultPlan, RetryPolicy, SequencedSink, ServerCrash};
 use crate::metrics::FaultMetrics;
+use crate::metro::SlidingWindow;
 use crate::pki::TrustedAuthority;
-use crate::protocol::{BatchUpload, BitReport, PeriodUpload, Query, SequencedUpload};
-use crate::{CentralServer, ShardedServer, SimError, SimVehicle};
+use crate::protocol::{BatchUpload, BitReport, Query, SequencedUpload};
+use crate::{CentralServer, OdMatrix, ShardedServer, SimError, SimVehicle};
 
 /// One vehicle reaching one RSU site.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,200 +143,569 @@ pub fn simulate_arrivals(
     arrivals
 }
 
-/// The outcome of a full-network measurement period.
-#[derive(Debug, Clone)]
-pub struct NetworkRun {
-    /// The central server holding every RSU's upload — query it with
-    /// [`CentralServer::estimate`].
-    pub server: CentralServer,
-    /// Total query/answer exchanges performed.
-    pub exchanges: usize,
+/// Timing and seeding for a [`PeriodRun`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PeriodSettings {
+    /// Departure window length for each period: vehicles depart
+    /// uniformly at random within `[0, period_length)`.
+    pub period_length: f64,
+    /// Master seed (keys, departures, certificates).
+    pub seed: u64,
 }
 
-/// Runs one measurement period over an entire road network: an RSU at
-/// every node (node `i` ↔ `RsuId(i)`), arrays sized from `history`
-/// volumes, every trip driven through the discrete-event engine.
-///
-/// `period` is the departure window: vehicles depart uniformly at random
-/// within `[0, period)` (seeded; reproducible).
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-pub fn run_network_period(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-) -> Result<NetworkRun, SimError> {
-    run_network_period_threads(scheme, net, link_times, trips, history, period, seed, 1)
-}
-
-/// [`run_network_period`] with `threads` workers driving the exchanges.
-///
-/// Bit-identical to the single-threaded run: vehicles are partitioned
-/// across workers with each vehicle's arrivals handled in time order (so
-/// its one-time-MAC stream is unchanged), and the RSUs are lock-free
-/// [`SharedRsu`]s whose bit-set/count updates commute (see
-/// [`crate::concurrent`]).
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    threads: usize,
-) -> Result<NetworkRun, SimError> {
-    run_network_period_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        threads,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_threads`] with an observability handle: the
-/// exchange phase is profiled as [`Phase::Encode`], server ingestion as
-/// [`Phase::Receive`], and the returned server carries `obs` so later
-/// decodes record [`Phase::Decode`] / kernel-choice counters.
-///
-/// With [`Obs::disabled`] this is the exact code path of the plain
-/// variant; with observability enabled the estimates are still
-/// bit-identical — recording never influences control flow.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    threads: usize,
-    obs: &Obs,
-) -> Result<NetworkRun, SimError> {
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let exchanges = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-        )?
-    };
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = CentralServer::new(scheme.clone(), 1.0)?.with_obs(obs.clone());
-    {
-        let _receive = obs.phase(Phase::Receive);
-        for rsu in &rsus {
-            let wire = rsu.upload().encode();
-            server.receive(PeriodUpload::decode(&wire)?);
+impl Default for PeriodSettings {
+    fn default() -> Self {
+        Self {
+            period_length: 3_600.0,
+            seed: 0,
         }
     }
-    Ok(NetworkRun { server, exchanges })
+}
+
+/// A server shape the [`PeriodRun`] loop can drive: the monolithic
+/// [`CentralServer`], the hash-partitioned [`ShardedServer`], or the
+/// write-ahead-logged [`DurableServer`](crate::DurableServer).
+///
+/// Lossy-channel periods deliver through the shared [`SequencedSink`]
+/// retry path; ideal-channel periods go through the backend's native
+/// bulk path ([`ingest_ideal`](Self::ingest_ideal)). Everything that
+/// feeds the backend — authority, sizes, departures, identities,
+/// frames, sequence numbers, channel keys — is derived by the loop, not
+/// the backend, so the shapes are bit-identical by construction.
+pub trait ServerBackend: SequencedSink + Sized {
+    /// The scheme vehicles answer under and the server decodes with.
+    fn scheme(&self) -> &Scheme;
+
+    /// Seeds one RSU's volume history before the first period.
+    fn seed(&mut self, rsu: RsuId, average: f64);
+
+    /// Closes the open period (see [`CentralServer::finish_period`]),
+    /// returning each RSU's array size for the next one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sizing (and, for the durable backend, checkpoint)
+    /// failures.
+    fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError>;
+
+    /// The open period's all-pairs O–D matrix on `threads` workers.
+    ///
+    /// # Errors
+    ///
+    /// Propagates decode failures.
+    fn od(&self, threads: usize) -> Result<OdMatrix, SimError>;
+
+    /// One pair's measured estimate, clamped at saturation (see
+    /// [`CentralServer::estimate_or_clamp`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`CentralServer::estimate_or_clamp`].
+    fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError>;
+
+    /// One pair's answer with the history-backed fallback (see
+    /// [`CentralServer::estimate_or_degraded`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`CentralServer::estimate_or_degraded`].
+    fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError>;
+
+    /// Ingests one ideal-channel period's uploads, returning how many
+    /// frames were delivered. The monolith takes them frame by frame;
+    /// the sharded and durable servers take one [`BatchUpload`] wire
+    /// frame through the zero-copy batch ingest.
+    ///
+    /// # Errors
+    ///
+    /// Propagates protocol (and durability) failures.
+    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError>;
+
+    /// Takes the failure the infallible [`SequencedSink`] path stashed,
+    /// if any. Only the durable backend's log can fail there.
+    fn take_sink_error(&mut self) -> Option<SimError> {
+        None
+    }
+
+    /// WAL records appended so far; `0` for backends without a log.
+    fn records_logged(&self) -> u64 {
+        0
+    }
+
+    /// Fires a [`ServerCrash`]: drops every in-memory structure and
+    /// rebuilds the server from durable storage (see
+    /// [`DurableServer::crash_and_recover`](crate::DurableServer::crash_and_recover)).
+    ///
+    /// # Errors
+    ///
+    /// Backends without durable storage have nothing to recover from
+    /// and return [`SimError::Core`].
+    fn crash_and_recover(self) -> Result<(Self, RecoveryReport), SimError> {
+        Err(SimError::Core(CoreError::InvalidConfig {
+            parameter: "crash",
+            reason: "a ServerCrash needs a durable backend".to_string(),
+        }))
+    }
+}
+
+impl ServerBackend for CentralServer {
+    fn scheme(&self) -> &Scheme {
+        CentralServer::scheme(self)
+    }
+
+    fn seed(&mut self, rsu: RsuId, average: f64) {
+        self.seed_history(rsu, average);
+    }
+
+    fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
+        self.finish_period()
+    }
+
+    fn od(&self, threads: usize) -> Result<OdMatrix, SimError> {
+        self.od_matrix_threads(threads)
+    }
+
+    fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
+        CentralServer::estimate_or_clamp(self, a, b)
+    }
+
+    fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
+        CentralServer::estimate_or_degraded(self, a, b)
+    }
+
+    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError> {
+        let count = frames.len();
+        for frame in frames {
+            self.receive_sequenced(frame);
+        }
+        Ok(count)
+    }
+}
+
+impl ServerBackend for ShardedServer {
+    fn scheme(&self) -> &Scheme {
+        ShardedServer::scheme(self)
+    }
+
+    fn seed(&mut self, rsu: RsuId, average: f64) {
+        self.seed_history(rsu, average);
+    }
+
+    fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
+        self.finish_period()
+    }
+
+    fn od(&self, threads: usize) -> Result<OdMatrix, SimError> {
+        self.od_matrix_threads(threads)
+    }
+
+    fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
+        ShardedServer::estimate_or_clamp(self, a, b)
+    }
+
+    fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
+        ShardedServer::estimate_or_degraded(self, a, b)
+    }
+
+    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError> {
+        let count = frames.len();
+        let wire = BatchUpload::new(frames)?.encode();
+        self.receive_batch_wire(&wire)?;
+        Ok(count)
+    }
+}
+
+/// One run of the §IV-C measurement loop over a road network: an RSU at
+/// every node (node `i` ↔ `RsuId(i)`), every trip driven through the
+/// discrete-event engine, every period's counters folded into the
+/// server's history to size the next period's arrays.
+///
+/// Every field is optional on top of [`Default`] (one thread, ideal
+/// channels, no window, no crash):
+///
+/// ```
+/// use vcps_core::{RsuId, Scheme};
+/// use vcps_roadnet::{Link, RoadNetwork, VehicleTrip};
+/// use vcps_sim::engine::{PeriodRun, PeriodSettings};
+/// use vcps_sim::CentralServer;
+///
+/// # fn main() -> Result<(), vcps_sim::SimError> {
+/// let net = RoadNetwork::new(2, vec![Link::new(0, 1, 10.0, 2.0)]).unwrap();
+/// let trips: Vec<VehicleTrip> = (0..100)
+///     .map(|id| VehicleTrip { id, origin: 0, dest: 1, route: vec![0, 1] })
+///     .collect();
+/// let scheme = Scheme::variable(2, 3.0, 7)?;
+/// let run = PeriodRun {
+///     settings: PeriodSettings { period_length: 60.0, seed: 7 },
+///     threads: 2,
+///     ..PeriodRun::default()
+/// }
+/// .run(
+///     CentralServer::new(scheme, 1.0)?,
+///     &net,
+///     &net.free_flow_times(),
+///     &[&trips],
+///     &[100.0, 100.0],
+/// )?;
+/// assert_eq!(run.exchanges_per_period, vec![200]);
+/// let estimate = run.server.estimate(RsuId(0), RsuId(1))?;
+/// assert_eq!(estimate.n_x, 100);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct PeriodRun {
+    /// Departure window and master seed.
+    pub settings: PeriodSettings,
+    /// Workers driving each period's exchanges (and O–D decodes). The
+    /// outcome is bit-identical at every count: vehicles are partitioned
+    /// across workers with each vehicle's arrivals handled in time order
+    /// (so its one-time-MAC stream is unchanged), and the RSUs are
+    /// lock-free [`SharedRsu`]s whose updates commute.
+    pub threads: usize,
+    /// Seeded fault injection: reports cross a lossy vehicle → RSU
+    /// channel, crashes destroy RSU state windows, and uploads go
+    /// through [`faults::upload_with_retry`] on a lossy RSU → server
+    /// channel. Each period re-rolls its channels (the period index
+    /// salts them) and crash windows recur every period. With
+    /// [`FaultPlan::none`] the uploads and estimates are bit-identical
+    /// to the ideal path's. `None`: ideal channels.
+    pub faults: Option<(FaultPlan, RetryPolicy)>,
+    /// Keep a [`SlidingWindow`] over the last `W` periods' O–D matrices
+    /// (computed at the end of every period). `None`: no O–D decode.
+    pub window: Option<usize>,
+    /// Crash and recover a [`DurableServer`](crate::DurableServer) once,
+    /// at the first ingest boundary where
+    /// [`ServerBackend::records_logged`] has reached
+    /// [`ServerCrash::at_record`] — before each upload session on the
+    /// faulty path, before and after the period's batch on the ideal
+    /// path — or at the end of the last period's ingest if the log
+    /// never gets that far. A recovery in period 0 re-applies the
+    /// initial history seeds (configuration, not logged state); later
+    /// periods recover history from the `finish_period` checkpoint.
+    pub crash: Option<ServerCrash>,
+}
+
+impl Default for PeriodRun {
+    fn default() -> Self {
+        Self {
+            settings: PeriodSettings::default(),
+            threads: 1,
+            faults: None,
+            window: None,
+            crash: None,
+        }
+    }
+}
+
+/// What a [`PeriodRun`] produced. Per-period vectors are in period
+/// order; the fault vectors are empty for ideal-channel runs.
+#[derive(Debug, Clone)]
+pub struct RunOutcome<S> {
+    /// The server with the **last period still open**: its uploads stay
+    /// held and queryable. Call `finish_period` for the closed state
+    /// (history updated, sizes for the next period).
+    pub server: S,
+    /// The sliding O–D window, when [`PeriodRun::window`] was set.
+    pub window: Option<SlidingWindow>,
+    /// Array sizes in force during each period, per node.
+    pub sizes_per_period: Vec<Vec<usize>>,
+    /// Query/answer exchanges per period (loss happens after the
+    /// exchange, in flight).
+    pub exchanges_per_period: Vec<usize>,
+    /// What the channels, crashes, and the retry loop did, per period.
+    pub faults_per_period: Vec<FaultMetrics>,
+    /// RSUs whose upload exhausted the retry budget, per period. Their
+    /// history entry keeps its previous value, and
+    /// `estimate_or_degraded` still answers their pairs.
+    pub undelivered_per_period: Vec<Vec<RsuId>>,
+    /// Upload frames delivered to the server across all periods.
+    pub uploads_delivered: usize,
+    /// Wall-clock nanoseconds spent ingesting uploads (all periods).
+    pub ingest_ns: u128,
+    /// Wall-clock nanoseconds spent computing window O–D matrices.
+    pub od_ns: u128,
+    /// What recovery found, when [`PeriodRun::crash`] fired.
+    pub recovery: Option<RecoveryReport>,
+}
+
+impl PeriodRun {
+    /// Drives `periods[p]` as period `p` through `server`. Period 0 is
+    /// sized from `initial_history` (also seeded into the server); every
+    /// later period from the server's history after closing the previous
+    /// one. The loop records through the backend's observability handle
+    /// ([`SequencedSink::sink_obs`]): the exchange phase as
+    /// [`Phase::Encode`], ideal ingestion as [`Phase::Receive`], fault
+    /// counters as `faults.*`. Recording never influences control flow.
+    ///
+    /// Every derived stream — authority, departures, MACs, channel
+    /// salts, upload sequence numbers — is keyed by the master seed and
+    /// the period index, so a run is deterministic at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sizing, protocol, and durability failures, invalid
+    /// fault plans, and a crash requested of a non-durable backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `periods` is empty, `initial_history.len() !=
+    /// net.node_count()`, `threads == 0`, or `window == Some(0)`.
+    pub fn run<S: ServerBackend, P: AsRef<[VehicleTrip]>>(
+        &self,
+        mut server: S,
+        net: &RoadNetwork,
+        link_times: &[f64],
+        periods: &[P],
+        initial_history: &[f64],
+    ) -> Result<RunOutcome<S>, SimError> {
+        let PeriodSettings {
+            period_length,
+            seed,
+        } = self.settings;
+        assert!(!periods.is_empty(), "need at least one period");
+        assert_eq!(
+            initial_history.len(),
+            net.node_count(),
+            "one history volume per node"
+        );
+        let faulting = match &self.faults {
+            Some((plan, policy)) => {
+                plan.validate()?;
+                policy.validate()?;
+                Some((plan, policy, plan.lost_windows(net.node_count())))
+            }
+            None => None,
+        };
+        let obs = server.sink_obs().clone();
+        let scheme = server.scheme().clone();
+        for (node, &avg) in initial_history.iter().enumerate() {
+            server.seed(RsuId(node as u64), avg);
+        }
+        let mut sizes = initial_history
+            .iter()
+            .map(|&avg| scheme.array_size_for(avg))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut crash = CrashPoint {
+            at_record: self.crash.map(|c| c.at_record),
+            report: None,
+            seeds: initial_history,
+        };
+        let mut window = self.window.map(SlidingWindow::new);
+        let mut sizes_per_period = Vec::with_capacity(periods.len());
+        let mut exchanges_per_period = Vec::with_capacity(periods.len());
+        let mut faults_per_period = Vec::new();
+        let mut undelivered_per_period = Vec::new();
+        let mut uploads_delivered = 0usize;
+        let mut ingest_ns = 0u128;
+        let mut od_ns = 0u128;
+
+        for (p, trips) in periods.iter().enumerate() {
+            let trips = trips.as_ref();
+            let last = p + 1 == periods.len();
+            let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5 ^ p as u64);
+            let rsus = sizes
+                .iter()
+                .enumerate()
+                .map(|(node, &m)| SharedRsu::new(RsuId(node as u64), m, &authority))
+                .collect::<Result<Vec<_>, _>>()?;
+            let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
+
+            let mut rng = StdRng::seed_from_u64(seed ^ (p as u64) << 32);
+            let departures: Vec<f64> = trips
+                .iter()
+                .map(|_| rng.random_range(0.0..period_length.max(f64::MIN_POSITIVE)))
+                .collect();
+            let arrivals = simulate_arrivals(net, link_times, trips, &departures);
+            if let Some(arrival) = arrivals.last() {
+                obs.set_sim_time(arrival.time);
+            }
+            let exchange = Exchange {
+                scheme: &scheme,
+                authority: &authority,
+                rsus: &rsus,
+                queries: &queries,
+                trips,
+                arrivals: &arrivals,
+                m_o: sizes.iter().copied().fold(0, usize::max),
+                threads: self.threads,
+                seed,
+                period: p as u64,
+            };
+            let (exchanges, period_faults) = {
+                let _encode = obs.phase(Phase::Encode);
+                match &faulting {
+                    Some((plan, _, lost)) => {
+                        let (exchanges, mut faults) =
+                            drive_arrivals_faulty(&exchange, &plan.report_channel(p as u64), lost)?;
+                        faults.crashes = plan.crashes.len() as u64;
+                        (exchanges, Some(faults))
+                    }
+                    None => (drive_arrivals(&exchange)?, None),
+                }
+            };
+            obs.add("engine.exchanges", exchanges as u64);
+            sizes_per_period.push(queries.iter().map(|q| q.array_size as usize).collect());
+            exchanges_per_period.push(exchanges);
+
+            let ingest_started = Instant::now();
+            match (&faulting, period_faults) {
+                (Some((plan, policy, _)), Some(mut faults)) => {
+                    let channel = plan.upload_channel(p as u64);
+                    let mut undelivered = Vec::new();
+                    for rsu in &rsus {
+                        server = crash.boundary(server, p, false)?;
+                        let upload = rsu.upload();
+                        let delivery = faults::upload_with_retry(
+                            &upload,
+                            p as u64,
+                            &channel,
+                            &mut server,
+                            policy,
+                            &mut faults,
+                        );
+                        if let Some(e) = server.take_sink_error() {
+                            return Err(e);
+                        }
+                        if delivery.delivered {
+                            uploads_delivered += 1;
+                        } else {
+                            undelivered.push(upload.rsu);
+                        }
+                    }
+                    server = crash.boundary(server, p, last)?;
+                    faults.record_into(&obs);
+                    obs.add("engine.undelivered", undelivered.len() as u64);
+                    faults_per_period.push(faults);
+                    undelivered_per_period.push(undelivered);
+                }
+                _ => {
+                    let frames: Vec<SequencedUpload> = rsus
+                        .iter()
+                        .map(|rsu| SequencedUpload {
+                            seq: p as u64,
+                            upload: rsu.upload(),
+                        })
+                        .collect();
+                    let _receive = obs.phase(Phase::Receive);
+                    server = crash.boundary(server, p, false)?;
+                    uploads_delivered += server.ingest_ideal(frames)?;
+                    server = crash.boundary(server, p, last)?;
+                }
+            }
+            ingest_ns += ingest_started.elapsed().as_nanos();
+
+            if let Some(window) = &mut window {
+                let od_started = Instant::now();
+                window.push(server.od(self.threads)?);
+                od_ns += od_started.elapsed().as_nanos();
+                obs.inc("metro.periods");
+                obs.add("metro.window.held", window.len() as u64);
+            }
+            if !last {
+                let next = server.finish()?;
+                sizes = (0..net.node_count())
+                    .map(|node| next.get(&RsuId(node as u64)).copied().unwrap_or(2).max(2))
+                    .collect();
+            }
+        }
+        if window.is_some() {
+            obs.add("metro.uploads.delivered", uploads_delivered as u64);
+        }
+        Ok(RunOutcome {
+            server,
+            window,
+            sizes_per_period,
+            exchanges_per_period,
+            faults_per_period,
+            undelivered_per_period,
+            uploads_delivered,
+            ingest_ns,
+            od_ns,
+            recovery: crash.report,
+        })
+    }
+}
+
+/// The armed [`ServerCrash`] of one run: fires once, at the first
+/// ingest boundary where the log has reached `at_record` (or when
+/// forced at the run's last boundary).
+struct CrashPoint<'a> {
+    at_record: Option<u64>,
+    report: Option<RecoveryReport>,
+    seeds: &'a [f64],
+}
+
+impl CrashPoint<'_> {
+    fn boundary<S: ServerBackend>(
+        &mut self,
+        server: S,
+        period: usize,
+        force: bool,
+    ) -> Result<S, SimError> {
+        match self.at_record {
+            Some(at) if self.report.is_none() && (force || server.records_logged() >= at) => {
+                let (mut server, report) = server.crash_and_recover()?;
+                if period == 0 {
+                    for (node, &avg) in self.seeds.iter().enumerate() {
+                        server.seed(RsuId(node as u64), avg);
+                    }
+                }
+                self.report = Some(report);
+                Ok(server)
+            }
+            _ => Ok(server),
+        }
+    }
+}
+
+/// One period's exchange phase: the RSUs and their queries, the
+/// time-ordered arrivals, and what derives each vehicle's identity.
+struct Exchange<'a> {
+    scheme: &'a Scheme,
+    authority: &'a TrustedAuthority,
+    rsus: &'a [SharedRsu],
+    queries: &'a [Query],
+    trips: &'a [VehicleTrip],
+    arrivals: &'a [Arrival],
+    m_o: usize,
+    threads: usize,
+    seed: u64,
+    period: u64,
+}
+
+impl Exchange<'_> {
+    /// Trip `v`'s vehicle: a seed-keyed identity and a per-period
+    /// one-time-MAC stream.
+    fn vehicle(&self, v: usize) -> SimVehicle {
+        let id = self.trips[v].id;
+        SimVehicle::new(
+            VehicleIdentity::from_raw(id, splitmix64(self.seed ^ id)),
+            splitmix64(id ^ 0xACE0_FBA5E ^ self.period),
+        )
+    }
 }
 
 /// Runs every query/answer exchange of one period: vehicles are split
-/// across `threads` workers, each worker walking its vehicles' arrivals
-/// in time order and folding the reports straight into the lock-free
-/// RSUs. Returns the exchange count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_arrivals<F>(
-    scheme: &Scheme,
-    authority: &TrustedAuthority,
-    rsus: &[SharedRsu],
-    queries: &[Query],
-    trips: &[VehicleTrip],
-    arrivals: &[Arrival],
-    make_vehicle: F,
-    m_o: usize,
-    threads: usize,
-) -> Result<usize, SimError>
-where
-    F: Fn(&VehicleTrip) -> SimVehicle + Sync,
-{
+/// across worker threads, each worker walking its vehicles' arrivals in
+/// time order and folding the reports straight into the lock-free RSUs.
+/// Returns the exchange count.
+fn drive_arrivals(ex: &Exchange<'_>) -> Result<usize, SimError> {
     // Arrivals are globally time-ordered, so each vehicle's subsequence
     // is in that vehicle's own time order — exactly the order the
     // sequential engine advances its MAC generator.
-    let mut stops: Vec<Vec<usize>> = vec![Vec::new(); trips.len()];
-    for arrival in arrivals {
+    let mut stops: Vec<Vec<usize>> = vec![Vec::new(); ex.trips.len()];
+    for arrival in ex.arrivals {
         stops[arrival.vehicle].push(arrival.node);
     }
     let outcomes = concurrent::parallel_map_threads(
-        (0..trips.len()).collect(),
-        threads,
+        (0..ex.trips.len()).collect(),
+        ex.threads,
         |&v| -> Result<usize, SimError> {
-            let mut vehicle = make_vehicle(&trips[v]);
+            let mut vehicle = ex.vehicle(v);
             for &node in &stops[v] {
-                let report = vehicle.answer(&queries[node], scheme, authority, m_o)?;
-                rsus[node].receive(&report)?;
+                let report = vehicle.answer(&ex.queries[node], ex.scheme, ex.authority, ex.m_o)?;
+                ex.rsus[node].receive(&report)?;
             }
             Ok(stops[v].len())
         },
@@ -344,248 +717,30 @@ where
     Ok(exchanges)
 }
 
-/// The outcome of a measurement period run under fault injection.
-#[derive(Debug, Clone)]
-pub struct FaultyNetworkRun {
-    /// The central server holding whatever uploads survived — query it
-    /// with [`CentralServer::estimate_or_degraded`] to get an answer even
-    /// for RSUs whose upload was abandoned.
-    pub server: CentralServer,
-    /// Total query/answer exchanges performed (loss happens after the
-    /// exchange, in flight).
-    pub exchanges: usize,
-    /// What the channels, crashes, and the retry loop did.
-    pub faults: FaultMetrics,
-    /// RSUs whose upload exhausted the retry budget and never reached
-    /// the server.
-    pub undelivered: Vec<RsuId>,
-}
-
-/// [`run_network_period`] with fault injection: reports cross a lossy
-/// vehicle → RSU channel, crashes destroy RSU state windows, and uploads
-/// go through [`faults::upload_with_retry`] on a lossy RSU → server
-/// channel against an acking, deduplicating server.
-///
-/// The run is deterministic for a fixed `(seed, plan)` — independent of
-/// thread count — and with [`FaultPlan::none`] it produces bit-identical
-/// uploads and estimates to [`run_network_period`]. The server is seeded
-/// with `history` so [`CentralServer::estimate_or_degraded`] can answer
-/// pairs whose upload never arrived.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, and invalid fault plans.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_faulty(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<FaultyNetworkRun, SimError> {
-    run_network_period_faulty_threads(
-        scheme, net, link_times, trips, history, period, seed, plan, policy, 1,
-    )
-}
-
-/// [`run_network_period_faulty`] with `threads` workers.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, and invalid fault plans.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_faulty_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    threads: usize,
-) -> Result<FaultyNetworkRun, SimError> {
-    run_network_period_faulty_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        plan,
-        policy,
-        threads,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_faulty_threads`] with an observability handle:
-/// the exchange phase is profiled as [`Phase::Encode`], the retry loop
-/// as [`Phase::Retry`] (through the server's handle inside
-/// [`faults::upload_with_retry`]), and the merged [`FaultMetrics`] are
-/// bridged into the registry as `faults.*` counters at period end.
-///
-/// Every registry counter recorded through this path is deterministic
-/// for a fixed `(seed, plan)` — independent of thread count — because
-/// the per-worker fault counters are merged before being bridged and
-/// all other recording happens on the single-threaded control path.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, and invalid fault plans.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_faulty_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    threads: usize,
-    obs: &Obs,
-) -> Result<FaultyNetworkRun, SimError> {
-    plan.validate()?;
-    policy.validate()?;
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    // Setup is identical to the ideal run (same authority, sizes, and
-    // departure stream) so that faults are the only difference.
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let report_channel = plan.report_channel(0);
-    let lost_windows = plan.lost_windows(net.node_count());
-    let (exchanges, mut faults) = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals_faulty(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-            &report_channel,
-            &lost_windows,
-        )?
-    };
-    faults.crashes = plan.crashes.len() as u64;
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = CentralServer::new(scheme.clone(), 1.0)?.with_obs(obs.clone());
-    for (node, &avg) in history.iter().enumerate() {
-        server.seed_history(RsuId(node as u64), avg);
-    }
-    let upload_channel = plan.upload_channel(0);
-    let mut undelivered = Vec::new();
-    for rsu in &rsus {
-        let upload = rsu.upload();
-        let delivery = faults::upload_with_retry(
-            &upload,
-            0,
-            &upload_channel,
-            &mut server,
-            policy,
-            &mut faults,
-        );
-        if !delivery.delivered {
-            undelivered.push(upload.rsu);
-        }
-    }
-    faults.record_into(obs);
-    obs.add("engine.undelivered", undelivered.len() as u64);
-    Ok(FaultyNetworkRun {
-        server,
-        exchanges,
-        faults,
-        undelivered,
-    })
-}
-
-/// [`drive_arrivals`] with every report crossing a lossy channel and a
-/// crash-window filter in front of each RSU. Returns the exchange count
-/// and the merged per-worker fault counters.
+/// [`drive_arrivals`] with every report crossing a lossy channel (wire
+/// encoded and decoded) and a crash-window filter in front of each RSU.
+/// Returns the exchange count and the merged per-worker fault counters.
 ///
 /// Fault decisions are keyed per (vehicle, stop), so the outcome is
 /// independent of worker scheduling; counter merging is commutative.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_arrivals_faulty<F>(
-    scheme: &Scheme,
-    authority: &TrustedAuthority,
-    rsus: &[SharedRsu],
-    queries: &[Query],
-    trips: &[VehicleTrip],
-    arrivals: &[Arrival],
-    make_vehicle: F,
-    m_o: usize,
-    threads: usize,
+fn drive_arrivals_faulty(
+    ex: &Exchange<'_>,
     channel: &Channel,
     lost_windows: &[Vec<(f64, f64)>],
-) -> Result<(usize, FaultMetrics), SimError>
-where
-    F: Fn(&VehicleTrip) -> SimVehicle + Sync,
-{
-    let mut stops: Vec<Vec<(usize, f64)>> = vec![Vec::new(); trips.len()];
-    for arrival in arrivals {
+) -> Result<(usize, FaultMetrics), SimError> {
+    let mut stops: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ex.trips.len()];
+    for arrival in ex.arrivals {
         stops[arrival.vehicle].push((arrival.node, arrival.time));
     }
     let outcomes = concurrent::parallel_map_threads(
-        (0..trips.len()).collect(),
-        threads,
+        (0..ex.trips.len()).collect(),
+        ex.threads,
         |&v| -> Result<(usize, FaultMetrics), SimError> {
-            let mut vehicle = make_vehicle(&trips[v]);
+            let mut vehicle = ex.vehicle(v);
             let mut local = FaultMetrics::new();
             for (i, &(node, time)) in stops[v].iter().enumerate() {
-                let report = vehicle.answer(&queries[node], scheme, authority, m_o)?;
-                let key = splitmix64(trips[v].id).wrapping_add(i as u64);
+                let report = vehicle.answer(&ex.queries[node], ex.scheme, ex.authority, ex.m_o)?;
+                let key = splitmix64(ex.trips[v].id).wrapping_add(i as u64);
                 let tx = channel.transmit(&report.encode(), key);
                 tx.record(&mut local.report_link);
                 for copy in &tx.delivered {
@@ -600,7 +755,7 @@ where
                         // The RSU ingested this report but lost it with
                         // the state window destroyed by the crash.
                         local.reports_lost_to_crash += 1;
-                    } else if rsus[node].receive(&decoded).is_err() {
+                    } else if ex.rsus[node].receive(&decoded).is_err() {
                         local.reports_rejected += 1;
                     }
                 }
@@ -618,1017 +773,10 @@ where
     Ok((exchanges, faults))
 }
 
-/// The outcome of a full-network measurement period ingested by a
-/// sharded server (see [`run_network_period_sharded`]).
-#[derive(Debug, Clone)]
-pub struct ShardedNetworkRun {
-    /// The sharded server holding every RSU's upload — query it with
-    /// [`ShardedServer::estimate`]; answers are bit-identical to the
-    /// monolithic [`NetworkRun`]'s.
-    pub server: ShardedServer,
-    /// Total query/answer exchanges performed.
-    pub exchanges: usize,
-}
-
-/// [`run_network_period`] ingested by a [`ShardedServer`]: the period's
-/// uploads travel as one [`BatchUpload`] wire frame (encoded and decoded
-/// end to end) instead of one frame per RSU, and land on `shards`
-/// hash-partitioned receiver shards.
-///
-/// Estimates from the returned server are bit-identical to the
-/// monolithic run's at every shard count — the exchange phase is the
-/// same code, the batch frame carries byte-identical uploads, and the
-/// sharded decode path borrows the same kernels.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures (including a zero
-/// `shards`).
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_sharded(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    shards: usize,
-) -> Result<ShardedNetworkRun, SimError> {
-    run_network_period_sharded_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        shards,
-        1,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_sharded`] with `threads` exchange workers and an
-/// observability handle (see [`run_network_period_threads_obs`] for the
-/// phase/counter layout — the sharded run fires the same registry names,
-/// plus the `shard.*` / `batch.*` series).
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures (including a zero `shards`).
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_sharded_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    shards: usize,
-    threads: usize,
-    obs: &Obs,
-) -> Result<ShardedNetworkRun, SimError> {
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    // Setup is byte-identical to the monolithic run: same authority,
-    // array sizes, departures, and exchange phase — only the ingestion
-    // framing and receiver topology differ.
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let exchanges = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-        )?
-    };
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = ShardedServer::new(scheme.clone(), 1.0, shards)?.with_obs(obs.clone());
-    {
-        let _receive = obs.phase(Phase::Receive);
-        let frames: Vec<SequencedUpload> = rsus
-            .iter()
-            .map(|rsu| SequencedUpload {
-                seq: 0,
-                upload: rsu.upload(),
-            })
-            .collect();
-        // One wire frame for the whole period, ingested through the
-        // zero-copy wire path so the batch layout is exercised end to
-        // end.
-        let wire = BatchUpload::new(frames)?.encode();
-        let _ = server.receive_batch_wire(&wire)?;
-    }
-    Ok(ShardedNetworkRun { server, exchanges })
-}
-
-/// The outcome of a measurement period run under fault injection with a
-/// sharded server (see [`run_network_period_faulty_sharded`]).
-#[derive(Debug, Clone)]
-pub struct FaultyShardedNetworkRun {
-    /// The sharded server holding whatever uploads survived — query it
-    /// with [`ShardedServer::estimate_or_degraded`].
-    pub server: ShardedServer,
-    /// Total query/answer exchanges performed.
-    pub exchanges: usize,
-    /// What the channels, crashes, and the retry loop did — identical
-    /// to the monolithic [`FaultyNetworkRun`]'s for the same inputs.
-    pub faults: FaultMetrics,
-    /// RSUs whose upload exhausted the retry budget.
-    pub undelivered: Vec<RsuId>,
-}
-
-/// [`run_network_period_faulty`] delivering into a [`ShardedServer`].
-///
-/// The upload path deliberately sends the *same* per-RSU
-/// [`SequencedUpload`] frames with the same channel keys as the
-/// monolithic faulty run (through the generic
-/// [`faults::upload_with_retry`] sink), so every drop, corruption, and
-/// lost-ack decision is replayed identically and the surviving state —
-/// uploads, fault metrics, undelivered set — matches the monolith
-/// byte for byte. Batch-framed uploads over a faulty channel are
-/// exercised separately by [`faults::batch_upload_with_retry`].
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, invalid fault plans, and a
-/// zero `shards`.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_faulty_sharded(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    shards: usize,
-) -> Result<FaultyShardedNetworkRun, SimError> {
-    run_network_period_faulty_sharded_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        plan,
-        policy,
-        shards,
-        1,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_faulty_sharded`] with `threads` workers and an
-/// observability handle (the sharded analogue of
-/// [`run_network_period_faulty_threads_obs`], firing the same registry
-/// names plus the `shard.*` series).
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, invalid fault plans, and a
-/// zero `shards`.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_faulty_sharded_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    shards: usize,
-    threads: usize,
-    obs: &Obs,
-) -> Result<FaultyShardedNetworkRun, SimError> {
-    plan.validate()?;
-    policy.validate()?;
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let report_channel = plan.report_channel(0);
-    let lost_windows = plan.lost_windows(net.node_count());
-    let (exchanges, mut faults) = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals_faulty(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-            &report_channel,
-            &lost_windows,
-        )?
-    };
-    faults.crashes = plan.crashes.len() as u64;
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = ShardedServer::new(scheme.clone(), 1.0, shards)?.with_obs(obs.clone());
-    for (node, &avg) in history.iter().enumerate() {
-        server.seed_history(RsuId(node as u64), avg);
-    }
-    let upload_channel = plan.upload_channel(0);
-    let mut undelivered = Vec::new();
-    for rsu in &rsus {
-        let upload = rsu.upload();
-        let delivery = faults::upload_with_retry(
-            &upload,
-            0,
-            &upload_channel,
-            &mut server,
-            policy,
-            &mut faults,
-        );
-        if !delivery.delivered {
-            undelivered.push(upload.rsu);
-        }
-    }
-    faults.record_into(obs);
-    obs.add("engine.undelivered", undelivered.len() as u64);
-    Ok(FaultyShardedNetworkRun {
-        server,
-        exchanges,
-        faults,
-        undelivered,
-    })
-}
-
-/// The outcome of a durably-ingested measurement period (see
-/// [`run_network_period_durable_sharded`]).
-#[derive(Debug)]
-pub struct DurableShardedNetworkRun {
-    /// The recovered (or never-crashed) server — estimates and O–D
-    /// matrices are bit-identical to the non-durable
-    /// [`ShardedNetworkRun`]'s.
-    pub server: ShardedServer,
-    /// Total query/answer exchanges performed.
-    pub exchanges: usize,
-    /// WAL records appended over the period.
-    pub wal_records: u64,
-    /// What recovery found, when a [`ServerCrash`] was injected.
-    pub recovery: Option<RecoveryReport>,
-}
-
-/// [`run_network_period_sharded`] with write-ahead-logged ingestion and
-/// an optional injected server-process crash: all in-memory server
-/// state is dropped at the crash point and rebuilt from `wal_dir`
-/// (checkpoint + WAL-tail replay), after which the run continues.
-/// Estimates from the returned server are bit-identical to the
-/// non-durable sharded run's, crash or no crash.
-///
-/// # Errors
-///
-/// Propagates sizing, protocol, and durability failures (including a
-/// zero `shards` and an invalid checkpoint interval).
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_durable_sharded(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    shards: usize,
-    wal_dir: &Path,
-    options: DurableOptions,
-    crash: Option<ServerCrash>,
-) -> Result<DurableShardedNetworkRun, SimError> {
-    run_network_period_durable_sharded_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        shards,
-        wal_dir,
-        options,
-        crash,
-        1,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_durable_sharded`] with `threads` exchange
-/// workers and an observability handle. Fires the sharded run's
-/// registry names plus the `wal.*` series (append/fsync/replay/
-/// checkpoint counters and the `wal_append`/`wal_recover` phase
-/// timers); everything else matches the non-durable sharded run.
-///
-/// # Errors
-///
-/// As [`run_network_period_durable_sharded`].
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_durable_sharded_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    shards: usize,
-    wal_dir: &Path,
-    options: DurableOptions,
-    crash: Option<ServerCrash>,
-    threads: usize,
-    obs: &Obs,
-) -> Result<DurableShardedNetworkRun, SimError> {
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let exchanges = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-        )?
-    };
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = DurableServer::create(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-    let mut recovery = None;
-    {
-        let _receive = obs.phase(Phase::Receive);
-        // The whole period travels as one batch frame, so there is one
-        // WAL record and two crash points: before it (empty-log
-        // recovery) or after it (full-log recovery).
-        if crash.is_some_and(|c| c.at_record == 0) {
-            drop(server);
-            let (recovered, report) =
-                DurableServer::recover(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-            server = recovered;
-            recovery = Some(report);
-        }
-        let frames: Vec<SequencedUpload> = rsus
-            .iter()
-            .map(|rsu| SequencedUpload {
-                seq: 0,
-                upload: rsu.upload(),
-            })
-            .collect();
-        let wire = BatchUpload::new(frames)?.encode();
-        let _ = server.receive_batch_wire(&wire)?;
-        if crash.is_some() && recovery.is_none() {
-            drop(server);
-            let (recovered, report) =
-                DurableServer::recover(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-            server = recovered;
-            recovery = Some(report);
-        }
-    }
-    let wal_records = server.records_logged();
-    Ok(DurableShardedNetworkRun {
-        server: server.into_server(),
-        exchanges,
-        wal_records,
-        recovery,
-    })
-}
-
-/// The outcome of a durably-ingested period under fault injection (see
-/// [`run_network_period_durable_faulty_sharded`]).
-#[derive(Debug)]
-pub struct DurableFaultyShardedNetworkRun {
-    /// The recovered (or never-crashed) server.
-    pub server: ShardedServer,
-    /// Total query/answer exchanges performed.
-    pub exchanges: usize,
-    /// What the channels and the retry loop did — identical to the
-    /// non-durable [`FaultyShardedNetworkRun`]'s for the same inputs.
-    pub faults: FaultMetrics,
-    /// RSUs whose upload exhausted the retry budget.
-    pub undelivered: Vec<RsuId>,
-    /// WAL records appended over the period.
-    pub wal_records: u64,
-    /// What recovery found, when a [`ServerCrash`] was injected.
-    pub recovery: Option<RecoveryReport>,
-}
-
-/// [`run_network_period_faulty_sharded`] with write-ahead-logged
-/// ingestion and an optional injected server-process crash.
-///
-/// The crash fires at the first RSU upload-session boundary at or
-/// after [`ServerCrash::at_record`] appended WAL records (or at period
-/// end if the log never grows that far): the whole server is dropped —
-/// every shard's uploads, dedup state, and history — and rebuilt from
-/// `wal_dir`. History seeds are engine configuration, not logged state,
-/// so the engine re-applies them after recovery. Surviving state, fault
-/// metrics, and the undelivered set match the non-durable faulty
-/// sharded run byte for byte.
-///
-/// # Errors
-///
-/// Propagates sizing, protocol, fault-plan, and durability failures.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_durable_faulty_sharded(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    shards: usize,
-    wal_dir: &Path,
-    options: DurableOptions,
-    crash: Option<ServerCrash>,
-) -> Result<DurableFaultyShardedNetworkRun, SimError> {
-    run_network_period_durable_faulty_sharded_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        plan,
-        policy,
-        shards,
-        wal_dir,
-        options,
-        crash,
-        1,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_durable_faulty_sharded`] with `threads` workers
-/// and an observability handle (fires the faulty sharded run's registry
-/// names plus the `wal.*` series).
-///
-/// # Errors
-///
-/// As [`run_network_period_durable_faulty_sharded`].
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_durable_faulty_sharded_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    shards: usize,
-    wal_dir: &Path,
-    options: DurableOptions,
-    crash: Option<ServerCrash>,
-    threads: usize,
-    obs: &Obs,
-) -> Result<DurableFaultyShardedNetworkRun, SimError> {
-    plan.validate()?;
-    policy.validate()?;
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let report_channel = plan.report_channel(0);
-    let lost_windows = plan.lost_windows(net.node_count());
-    let (exchanges, mut faults) = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals_faulty(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-            &report_channel,
-            &lost_windows,
-        )?
-    };
-    faults.crashes = plan.crashes.len() as u64;
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = DurableServer::create(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-    for (node, &avg) in history.iter().enumerate() {
-        server.seed_history(RsuId(node as u64), avg);
-    }
-    let upload_channel = plan.upload_channel(0);
-    let mut undelivered = Vec::new();
-    let mut recovery = None;
-    for rsu in &rsus {
-        if let Some(c) = crash {
-            if recovery.is_none() && server.records_logged() >= c.at_record {
-                drop(server);
-                let (recovered, report) =
-                    DurableServer::recover(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-                server = recovered;
-                for (node, &avg) in history.iter().enumerate() {
-                    server.seed_history(RsuId(node as u64), avg);
-                }
-                recovery = Some(report);
-            }
-        }
-        let upload = rsu.upload();
-        let mut sink = DurableSink::new(&mut server);
-        let delivery =
-            faults::upload_with_retry(&upload, 0, &upload_channel, &mut sink, policy, &mut faults);
-        if let Some(e) = sink.take_error() {
-            return Err(e);
-        }
-        if !delivery.delivered {
-            undelivered.push(upload.rsu);
-        }
-    }
-    // A crash point past the final record fires at period end — the
-    // differential suite leans on this to prove end-state recovery.
-    if crash.is_some() && recovery.is_none() {
-        drop(server);
-        let (recovered, report) =
-            DurableServer::recover(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-        server = recovered;
-        for (node, &avg) in history.iter().enumerate() {
-            server.seed_history(RsuId(node as u64), avg);
-        }
-        recovery = Some(report);
-    }
-    faults.record_into(obs);
-    obs.add("engine.undelivered", undelivered.len() as u64);
-    let wal_records = server.records_logged();
-    Ok(DurableFaultyShardedNetworkRun {
-        server: server.into_server(),
-        exchanges,
-        faults,
-        undelivered,
-        wal_records,
-        recovery,
-    })
-}
-
-/// The outcome of a multi-period simulation (see [`run_periods`]).
-#[derive(Debug, Clone)]
-pub struct MultiPeriodRun {
-    /// The central server after the last period (history updated, ready
-    /// to size the next period).
-    pub server: CentralServer,
-    /// Array sizes in force during each period, per RSU (node index →
-    /// size), in period order.
-    pub sizes_per_period: Vec<Vec<usize>>,
-    /// Query/answer exchanges per period.
-    pub exchanges_per_period: Vec<usize>,
-}
-
-/// Settings for a multi-period run (see [`run_periods`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeriodSettings {
-    /// EWMA smoothing factor for the server's volume history, in
-    /// `(0, 1]`.
-    pub history_alpha: f64,
-    /// Departure window length for each period.
-    pub period_length: f64,
-    /// Master seed (keys, departures, certificates).
-    pub seed: u64,
-}
-
-impl Default for PeriodSettings {
-    fn default() -> Self {
-        Self {
-            history_alpha: vcps_core::VolumeHistory::DEFAULT_ALPHA,
-            period_length: 3_600.0,
-            seed: 0,
-        }
-    }
-}
-
-/// Runs several consecutive measurement periods over a road network,
-/// closing the §IV-C loop: each period's counters update the server's
-/// EWMA history, which re-sizes every RSU's array for the next period.
-///
-/// `periods[p]` is the trip list driven in period `p`. Array sizes for
-/// period 0 come from `initial_history`; later periods from the server.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `initial_history.len() != net.node_count()` or `periods`
-/// is empty.
-pub fn run_periods(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    periods: &[Vec<VehicleTrip>],
-    initial_history: &[f64],
-    settings: &PeriodSettings,
-) -> Result<MultiPeriodRun, SimError> {
-    run_periods_threads(
-        scheme,
-        net,
-        link_times,
-        periods,
-        initial_history,
-        settings,
-        1,
-    )
-}
-
-/// [`run_periods`] with `threads` workers driving each period's
-/// exchanges (see [`run_network_period_threads`] for why the result is
-/// bit-identical to the single-threaded run).
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `initial_history.len() != net.node_count()`, `periods` is
-/// empty, or `threads == 0`.
-pub fn run_periods_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    periods: &[Vec<VehicleTrip>],
-    initial_history: &[f64],
-    settings: &PeriodSettings,
-    threads: usize,
-) -> Result<MultiPeriodRun, SimError> {
-    let PeriodSettings {
-        history_alpha,
-        period_length,
-        seed,
-    } = *settings;
-    assert!(!periods.is_empty(), "need at least one period");
-    assert_eq!(
-        initial_history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let mut server = CentralServer::new(scheme.clone(), history_alpha)?;
-    for (node, &avg) in initial_history.iter().enumerate() {
-        server.seed_history(RsuId(node as u64), avg);
-    }
-    let mut sizes = server.finish_period()?;
-    let mut sizes_per_period = Vec::with_capacity(periods.len());
-    let mut exchanges_per_period = Vec::with_capacity(periods.len());
-
-    for (p, trips) in periods.iter().enumerate() {
-        let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5 ^ p as u64);
-        let mut rsus = Vec::with_capacity(net.node_count());
-        let mut m_o = 0usize;
-        for node in 0..net.node_count() {
-            let id = RsuId(node as u64);
-            let m = sizes.get(&id).copied().unwrap_or(2).max(2);
-            m_o = m_o.max(m);
-            rsus.push(SharedRsu::new(id, m, &authority)?);
-        }
-        let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-        let mut rng = StdRng::seed_from_u64(seed ^ (p as u64) << 32);
-        let departures: Vec<f64> = trips
-            .iter()
-            .map(|_| rng.random_range(0.0..period_length.max(f64::MIN_POSITIVE)))
-            .collect();
-        let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-        let exchanges = drive_arrivals(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E ^ p as u64),
-                )
-            },
-            m_o,
-            threads,
-        )?;
-        sizes_per_period.push(queries.iter().map(|q| q.array_size as usize).collect());
-        exchanges_per_period.push(exchanges);
-        for rsu in &rsus {
-            server.receive(PeriodUpload::decode(&rsu.upload().encode_compact())?);
-        }
-        sizes = server.finish_period()?;
-    }
-    Ok(MultiPeriodRun {
-        server,
-        sizes_per_period,
-        exchanges_per_period,
-    })
-}
-
-/// The outcome of a multi-period simulation under fault injection.
-#[derive(Debug, Clone)]
-pub struct FaultyMultiPeriodRun {
-    /// The central server after the last period.
-    pub server: CentralServer,
-    /// Array sizes in force during each period, per RSU.
-    pub sizes_per_period: Vec<Vec<usize>>,
-    /// Query/answer exchanges per period.
-    pub exchanges_per_period: Vec<usize>,
-    /// Fault counters per period.
-    pub faults_per_period: Vec<FaultMetrics>,
-    /// RSUs whose upload was abandoned, per period. Their history entry
-    /// simply keeps its previous EWMA value — the sizing loop degrades
-    /// gracefully instead of halting.
-    pub undelivered_per_period: Vec<Vec<RsuId>>,
-}
-
-/// [`run_periods_threads`] with fault injection (see
-/// [`run_network_period_faulty_threads`]).
-///
-/// Each period re-rolls its channel faults (the period index salts the
-/// channels) and uses the period index as the upload sequence number, so
-/// stragglers retransmitted from a closed period are recognized as stale
-/// by the server. Crash times in the plan are relative to each period's
-/// start and recur every period.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, and invalid fault plans.
-///
-/// # Panics
-///
-/// Panics if `initial_history.len() != net.node_count()`, `periods` is
-/// empty, or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_periods_faulty_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    periods: &[Vec<VehicleTrip>],
-    initial_history: &[f64],
-    settings: &PeriodSettings,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    threads: usize,
-) -> Result<FaultyMultiPeriodRun, SimError> {
-    let PeriodSettings {
-        history_alpha,
-        period_length,
-        seed,
-    } = *settings;
-    plan.validate()?;
-    policy.validate()?;
-    assert!(!periods.is_empty(), "need at least one period");
-    assert_eq!(
-        initial_history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let mut server = CentralServer::new(scheme.clone(), history_alpha)?;
-    for (node, &avg) in initial_history.iter().enumerate() {
-        server.seed_history(RsuId(node as u64), avg);
-    }
-    let mut sizes = server.finish_period()?;
-    let lost_windows = plan.lost_windows(net.node_count());
-    let mut sizes_per_period = Vec::with_capacity(periods.len());
-    let mut exchanges_per_period = Vec::with_capacity(periods.len());
-    let mut faults_per_period = Vec::with_capacity(periods.len());
-    let mut undelivered_per_period = Vec::with_capacity(periods.len());
-
-    for (p, trips) in periods.iter().enumerate() {
-        let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5 ^ p as u64);
-        let mut rsus = Vec::with_capacity(net.node_count());
-        let mut m_o = 0usize;
-        for node in 0..net.node_count() {
-            let id = RsuId(node as u64);
-            let m = sizes.get(&id).copied().unwrap_or(2).max(2);
-            m_o = m_o.max(m);
-            rsus.push(SharedRsu::new(id, m, &authority)?);
-        }
-        let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-        let mut rng = StdRng::seed_from_u64(seed ^ (p as u64) << 32);
-        let departures: Vec<f64> = trips
-            .iter()
-            .map(|_| rng.random_range(0.0..period_length.max(f64::MIN_POSITIVE)))
-            .collect();
-        let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-        let report_channel = plan.report_channel(p as u64);
-        let (exchanges, mut faults) = drive_arrivals_faulty(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E ^ p as u64),
-                )
-            },
-            m_o,
-            threads,
-            &report_channel,
-            &lost_windows,
-        )?;
-        faults.crashes = plan.crashes.len() as u64;
-        sizes_per_period.push(queries.iter().map(|q| q.array_size as usize).collect());
-        exchanges_per_period.push(exchanges);
-
-        let upload_channel = plan.upload_channel(p as u64);
-        let mut undelivered = Vec::new();
-        for rsu in &rsus {
-            let upload = rsu.upload();
-            let delivery = faults::upload_with_retry(
-                &upload,
-                p as u64,
-                &upload_channel,
-                &mut server,
-                policy,
-                &mut faults,
-            );
-            if !delivery.delivered {
-                undelivered.push(upload.rsu);
-            }
-        }
-        faults_per_period.push(faults);
-        undelivered_per_period.push(undelivered);
-        sizes = server.finish_period()?;
-    }
-    Ok(FaultyMultiPeriodRun {
-        server,
-        sizes_per_period,
-        exchanges_per_period,
-        faults_per_period,
-        undelivered_per_period,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcps_obs::Obs;
     use vcps_roadnet::{Link, RoadNetwork};
 
     fn line_net() -> RoadNetwork {
@@ -1646,6 +794,43 @@ mod tests {
             dest: *route.last().unwrap(),
             route,
         }
+    }
+
+    /// A 60-second departure window under `seed`, at `threads` workers.
+    fn config(seed: u64, threads: usize) -> PeriodRun {
+        PeriodRun {
+            settings: PeriodSettings {
+                period_length: 60.0,
+                seed,
+            },
+            threads,
+            ..PeriodRun::default()
+        }
+    }
+
+    /// [`config`] with fault injection under the default retry policy.
+    fn faulty(seed: u64, threads: usize, plan: &FaultPlan) -> PeriodRun {
+        PeriodRun {
+            faults: Some((plan.clone(), RetryPolicy::default())),
+            ..config(seed, threads)
+        }
+    }
+
+    fn central(scheme: &Scheme, alpha: f64) -> CentralServer {
+        CentralServer::new(scheme.clone(), alpha).unwrap()
+    }
+
+    /// Drives `periods` over the line network.
+    fn drive<S: ServerBackend, P: AsRef<[VehicleTrip]>>(
+        config: &PeriodRun,
+        server: S,
+        periods: &[P],
+        history: &[f64],
+    ) -> RunOutcome<S> {
+        let net = line_net();
+        config
+            .run(server, &net, &net.free_flow_times(), periods, history)
+            .unwrap()
     }
 
     #[test]
@@ -1676,20 +861,15 @@ mod tests {
 
     #[test]
     fn full_network_period_counts_every_arrival() {
-        let net = line_net();
         let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
-        let run = run_network_period(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
+        let run = drive(
+            &config(4, 1),
+            central(&scheme, 1.0),
+            &[&trips],
             &[200.0, 200.0, 200.0],
-            60.0,
-            4,
-        )
-        .unwrap();
-        assert_eq!(run.exchanges, 600);
+        );
+        assert_eq!(run.exchanges_per_period[0], 600);
         assert_eq!(run.server.upload_count(), 3);
         // All 200 vehicles pass every pair of nodes.
         let est = run.server.estimate(RsuId(0), RsuId(2)).unwrap();
@@ -1703,25 +883,17 @@ mod tests {
     fn multi_period_run_adapts_sizes_to_traffic() {
         // Traffic doubles each period; with alpha = 1 the history tracks
         // the last period exactly, so the arrays must grow.
-        let net = line_net();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let periods: Vec<Vec<VehicleTrip>> = [100u64, 200, 400]
             .iter()
             .map(|&n| (0..n).map(|i| trip(i, vec![0, 1, 2])).collect())
             .collect();
-        let run = run_periods(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
+        let mut run = drive(
+            &config(5, 1),
+            central(&scheme, 1.0),
             &periods,
             &[100.0, 100.0, 100.0],
-            &PeriodSettings {
-                history_alpha: 1.0,
-                period_length: 60.0,
-                seed: 5,
-            },
-        )
-        .unwrap();
+        );
         assert_eq!(run.exchanges_per_period, vec![300, 600, 1200]);
         assert_eq!(run.sizes_per_period.len(), 3);
         // Period 0 sized for 100 vehicles (512 bits at f̄ = 3); period 2
@@ -1729,40 +901,29 @@ mod tests {
         assert_eq!(run.sizes_per_period[0][0], 512);
         assert_eq!(run.sizes_per_period[1][0], 512); // sized from period 0's 100
         assert_eq!(run.sizes_per_period[2][0], 1024); // sized from period 1's 200
-                                                      // The final history reflects the last period's 400 vehicles.
+                                                      // Once closed, the history reflects the last period's 400 vehicles.
+        run.server.finish_period().unwrap();
         assert_eq!(run.server.history().average(RsuId(0)), Some(400.0));
     }
 
     #[test]
     fn threaded_network_period_is_bit_identical_to_sequential() {
-        let net = line_net();
         let trips: Vec<VehicleTrip> = (0..300).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let history = [300.0, 300.0, 300.0];
-        let seq = run_network_period(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-        )
-        .unwrap();
+        let seq = drive(&config(4, 1), central(&scheme, 1.0), &[&trips], &history);
         let seq_est = seq.server.estimate(RsuId(0), RsuId(2)).unwrap();
         for threads in [2, 4, crate::concurrent::default_threads()] {
-            let par = run_network_period_threads(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
+            let par = drive(
+                &config(4, threads),
+                central(&scheme, 1.0),
+                &[&trips],
                 &history,
-                60.0,
-                4,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(par.exchanges, seq.exchanges, "threads = {threads}");
+            );
+            assert_eq!(
+                par.exchanges_per_period, seq.exchanges_per_period,
+                "threads = {threads}"
+            );
             let par_est = par.server.estimate(RsuId(0), RsuId(2)).unwrap();
             assert_eq!(par_est, seq_est, "threads = {threads}");
         }
@@ -1770,40 +931,20 @@ mod tests {
 
     #[test]
     fn threaded_multi_period_matches_sequential() {
-        let net = line_net();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let periods: Vec<Vec<VehicleTrip>> = [150u64, 250]
             .iter()
             .map(|&n| (0..n).map(|i| trip(i, vec![0, 1, 2])).collect())
             .collect();
-        let settings = PeriodSettings {
-            history_alpha: 0.5,
-            period_length: 60.0,
-            seed: 7,
-        };
-        let seq = run_periods(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &periods,
-            &[150.0, 150.0, 150.0],
-            &settings,
-        )
-        .unwrap();
-        let par = run_periods_threads(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &periods,
-            &[150.0, 150.0, 150.0],
-            &settings,
-            4,
-        )
-        .unwrap();
+        let history = [150.0, 150.0, 150.0];
+        let mut seq = drive(&config(7, 1), central(&scheme, 0.5), &periods, &history);
+        let mut par = drive(&config(7, 4), central(&scheme, 0.5), &periods, &history);
         assert_eq!(par.exchanges_per_period, seq.exchanges_per_period);
         assert_eq!(par.sizes_per_period, seq.sizes_per_period);
         // finish_period consumes the uploads, so compare the surviving
         // state: the EWMA history that will size the next period.
+        seq.server.finish_period().unwrap();
+        par.server.finish_period().unwrap();
         for node in 0..3 {
             assert_eq!(
                 par.server.history().average(RsuId(node)),
@@ -1821,34 +962,18 @@ mod tests {
 
     #[test]
     fn zero_fault_plan_is_bit_identical_to_the_ideal_path() {
-        let net = line_net();
         let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let history = [200.0, 200.0, 200.0];
-        let ideal = run_network_period(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
+        let ideal = drive(&config(4, 1), central(&scheme, 1.0), &[&trips], &history);
+        let faulty = drive(
+            &faulty(4, 1, &FaultPlan::none()),
+            central(&scheme, 1.0),
+            &[&trips],
             &history,
-            60.0,
-            4,
-        )
-        .unwrap();
-        let faulty = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-            &FaultPlan::none(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(faulty.exchanges, ideal.exchanges);
-        assert!(faulty.undelivered.is_empty());
+        );
+        assert_eq!(faulty.exchanges_per_period, ideal.exchanges_per_period);
+        assert!(faulty.undelivered_per_period[0].is_empty());
         assert_eq!(
             upload_bytes(&faulty.server, 3),
             upload_bytes(&ideal.server, 3),
@@ -1858,8 +983,8 @@ mod tests {
             faulty.server.estimate(RsuId(0), RsuId(2)).unwrap(),
             ideal.server.estimate(RsuId(0), RsuId(2)).unwrap()
         );
-        let f = &faulty.faults;
-        assert_eq!(f.report_link.frames, ideal.exchanges as u64);
+        let f = &faulty.faults_per_period[0];
+        assert_eq!(f.report_link.frames, ideal.exchanges_per_period[0] as u64);
         assert_eq!(f.report_link.delivered, f.report_link.frames);
         assert_eq!(f.report_link.dropped + f.report_link.late, 0);
         assert_eq!(f.upload_retries + f.uploads_abandoned, 0);
@@ -1867,7 +992,6 @@ mod tests {
 
     #[test]
     fn fault_injection_is_deterministic_and_thread_independent() {
-        let net = line_net();
         let trips: Vec<VehicleTrip> = (0..300).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let history = [300.0, 300.0, 300.0];
@@ -1885,31 +1009,27 @@ mod tests {
                 at: 30.0,
                 mode: crate::faults::CrashMode::Checkpoint { interval: 20.0 },
             });
-        let policy = RetryPolicy::default();
         let mut runs = Vec::new();
         for threads in [1usize, 1, 4] {
-            runs.push(
-                run_network_period_faulty_threads(
-                    &scheme,
-                    &net,
-                    &net.free_flow_times(),
-                    &trips,
-                    &history,
-                    60.0,
-                    4,
-                    &plan,
-                    &policy,
-                    threads,
-                )
-                .unwrap(),
-            );
+            runs.push(drive(
+                &faulty(4, threads, &plan),
+                central(&scheme, 1.0),
+                &[&trips],
+                &history,
+            ));
         }
         let base = &runs[0];
-        assert!(base.faults.report_link.dropped > 0, "plan actually injects");
+        assert!(
+            base.faults_per_period[0].report_link.dropped > 0,
+            "plan actually injects"
+        );
         for other in &runs[1..] {
-            assert_eq!(other.exchanges, base.exchanges);
-            assert_eq!(other.faults, base.faults, "metrics are byte-identical");
-            assert_eq!(other.undelivered, base.undelivered);
+            assert_eq!(other.exchanges_per_period, base.exchanges_per_period);
+            assert_eq!(
+                other.faults_per_period, base.faults_per_period,
+                "metrics are byte-identical"
+            );
+            assert_eq!(other.undelivered_per_period, base.undelivered_per_period);
             assert_eq!(
                 upload_bytes(&other.server, 3),
                 upload_bytes(&base.server, 3),
@@ -1926,7 +1046,6 @@ mod tests {
 
     #[test]
     fn heavy_upload_loss_still_answers_every_pair() {
-        let net = line_net();
         let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let history = [200.0, 200.0, 200.0];
@@ -1934,19 +1053,16 @@ mod tests {
         // should still land, measured.
         let plan =
             FaultPlan::new(5).with_upload_link(crate::faults::LinkFaults::none().with_drop(0.5));
-        let run = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
+        let run = drive(
+            &faulty(4, 1, &plan),
+            central(&scheme, 1.0),
+            &[&trips],
             &history,
-            60.0,
-            4,
-            &plan,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert!(run.faults.upload_retries > 0, "loss forced retries");
+        );
+        assert!(
+            run.faults_per_period[0].upload_retries > 0,
+            "loss forced retries"
+        );
         for (a, b) in [(0u64, 1u64), (0, 2), (1, 2)] {
             let est = run.server.estimate_or_degraded(RsuId(a), RsuId(b)).unwrap();
             assert!(est.n_c().is_finite());
@@ -1955,20 +1071,14 @@ mod tests {
         // — degraded, from the seeded history.
         let dead =
             FaultPlan::new(5).with_upload_link(crate::faults::LinkFaults::none().with_drop(1.0));
-        let run = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
+        let run = drive(
+            &faulty(4, 1, &dead),
+            central(&scheme, 1.0),
+            &[&trips],
             &history,
-            60.0,
-            4,
-            &dead,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(run.undelivered.len(), 3);
-        assert_eq!(run.faults.uploads_abandoned, 3);
+        );
+        assert_eq!(run.undelivered_per_period[0].len(), 3);
+        assert_eq!(run.faults_per_period[0].uploads_abandoned, 3);
         for (a, b) in [(0u64, 1u64), (0, 2), (1, 2)] {
             let est = run.server.estimate_or_degraded(RsuId(a), RsuId(b)).unwrap();
             assert!(est.is_degraded());
@@ -1978,24 +1088,17 @@ mod tests {
 
     #[test]
     fn report_loss_biases_counters_down_and_crashes_lose_state() {
-        let net = line_net();
         let trips: Vec<VehicleTrip> = (0..400).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let history = [400.0, 400.0, 400.0];
         let lossy =
             FaultPlan::new(17).with_report_link(crate::faults::LinkFaults::none().with_drop(0.3));
-        let run = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
+        let run = drive(
+            &faulty(4, 1, &lossy),
+            central(&scheme, 1.0),
+            &[&trips],
             &history,
-            60.0,
-            4,
-            &lossy,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        );
         let n0 = run.server.upload(RsuId(0)).unwrap().counter;
         assert!(
             n0 < 400 && n0 > 200,
@@ -2008,19 +1111,13 @@ mod tests {
             at: 30.0,
             mode: crate::faults::CrashMode::LoseState,
         });
-        let run = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
+        let run = drive(
+            &faulty(4, 1, &crashing),
+            central(&scheme, 1.0),
+            &[&trips],
             &history,
-            60.0,
-            4,
-            &crashing,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert!(run.faults.reports_lost_to_crash > 0);
+        );
+        assert!(run.faults_per_period[0].reports_lost_to_crash > 0);
         let n1 = run.server.upload(RsuId(1)).unwrap().counter;
         assert!(n1 < 400, "crash must cost node 1 reports, got {n1}");
         assert_eq!(
@@ -2032,49 +1129,33 @@ mod tests {
 
     #[test]
     fn faulty_multi_period_run_is_deterministic_and_survives_loss() {
-        let net = line_net();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let periods: Vec<Vec<VehicleTrip>> = [150u64, 250]
             .iter()
             .map(|&n| (0..n).map(|i| trip(i, vec![0, 1, 2])).collect())
             .collect();
-        let settings = PeriodSettings {
-            history_alpha: 0.5,
-            period_length: 60.0,
-            seed: 7,
-        };
+        let history = [150.0, 150.0, 150.0];
         let plan = FaultPlan::new(9)
             .with_report_link(crate::faults::LinkFaults::none().with_drop(0.2))
             .with_upload_link(crate::faults::LinkFaults::none().with_drop(0.4));
-        let policy = RetryPolicy::default();
-        let a = run_periods_faulty_threads(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
+        let mut a = drive(
+            &faulty(7, 1, &plan),
+            central(&scheme, 0.5),
             &periods,
-            &[150.0, 150.0, 150.0],
-            &settings,
-            &plan,
-            &policy,
-            1,
-        )
-        .unwrap();
-        let b = run_periods_faulty_threads(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
+            &history,
+        );
+        let mut b = drive(
+            &faulty(7, 4, &plan),
+            central(&scheme, 0.5),
             &periods,
-            &[150.0, 150.0, 150.0],
-            &settings,
-            &plan,
-            &policy,
-            4,
-        )
-        .unwrap();
+            &history,
+        );
         assert_eq!(a.exchanges_per_period, b.exchanges_per_period);
         assert_eq!(a.faults_per_period, b.faults_per_period);
         assert_eq!(a.undelivered_per_period, b.undelivered_per_period);
         assert_eq!(a.sizes_per_period, b.sizes_per_period);
+        a.server.finish_period().unwrap();
+        b.server.finish_period().unwrap();
         for node in 0..3 {
             assert_eq!(
                 a.server.history().average(RsuId(node)),
@@ -2096,36 +1177,42 @@ mod tests {
     }
 
     #[test]
-    fn observed_engine_run_is_bit_identical_to_plain() {
+    fn crash_needs_a_durable_backend() {
+        let trips: Vec<VehicleTrip> = (0..20).map(|i| trip(i, vec![0, 1, 2])).collect();
+        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let net = line_net();
+        let run = PeriodRun {
+            crash: Some(ServerCrash { at_record: 0 }),
+            ..config(4, 1)
+        }
+        .run(
+            central(&scheme, 1.0),
+            &net,
+            &net.free_flow_times(),
+            &[&trips],
+            &[20.0, 20.0, 20.0],
+        );
+        assert!(matches!(run, Err(SimError::Core(_))));
+    }
+
+    #[test]
+    fn observed_engine_run_is_bit_identical_to_plain() {
         let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let history = [200.0, 200.0, 200.0];
-        let plain = run_network_period(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-        )
-        .unwrap();
+        let plain = drive(&config(4, 1), central(&scheme, 1.0), &[&trips], &history);
         for threads in [1usize, 2, 4] {
             let obs = Obs::enabled(vcps_obs::Level::Trace);
-            let observed = run_network_period_threads_obs(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
+            let observed = drive(
+                &config(4, threads),
+                central(&scheme, 1.0).with_obs(obs.clone()),
+                &[&trips],
                 &history,
-                60.0,
-                4,
-                threads,
-                &obs,
-            )
-            .unwrap();
-            assert_eq!(observed.exchanges, plain.exchanges, "threads = {threads}");
+            );
+            assert_eq!(
+                observed.exchanges_per_period, plain.exchanges_per_period,
+                "threads = {threads}"
+            );
             for (a, b) in [(0u64, 1u64), (0, 2), (1, 2)] {
                 assert_eq!(
                     observed.server.estimate(RsuId(a), RsuId(b)).unwrap(),
@@ -2134,14 +1221,16 @@ mod tests {
                 );
             }
             let snap = obs.snapshot();
-            assert_eq!(snap.counters["engine.exchanges"], plain.exchanges as u64);
+            assert_eq!(
+                snap.counters["engine.exchanges"],
+                plain.exchanges_per_period[0] as u64
+            );
             assert_eq!(snap.counters["server.receive.fresh"], 3);
         }
     }
 
     #[test]
     fn fault_run_registry_counters_are_thread_count_independent() {
-        let net = line_net();
         let trips: Vec<VehicleTrip> = (0..300).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let history = [300.0, 300.0, 300.0];
@@ -2153,25 +1242,19 @@ mod tests {
                     .with_bit_flip(0.05),
             )
             .with_upload_link(crate::faults::LinkFaults::none().with_drop(0.3));
-        let policy = RetryPolicy::default();
         let mut snapshots = Vec::new();
         for threads in [1usize, 2, 4] {
             let obs = Obs::enabled(vcps_obs::Level::Info);
-            let run = run_network_period_faulty_threads_obs(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
+            let run = drive(
+                &faulty(4, threads, &plan),
+                central(&scheme, 1.0).with_obs(obs.clone()),
+                &[&trips],
                 &history,
-                60.0,
-                4,
-                &plan,
-                &policy,
-                threads,
-                &obs,
-            )
-            .unwrap();
-            assert!(run.faults.report_link.dropped > 0, "plan actually injects");
+            );
+            assert!(
+                run.faults_per_period[0].report_link.dropped > 0,
+                "plan actually injects"
+            );
             snapshots.push(obs.snapshot());
         }
         // Wall-clock histograms (phase.*.ns) vary run to run, but every
@@ -2187,33 +1270,21 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_monolithic_at_every_shard_count() {
-        let net = line_net();
         let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let history = [200.0, 200.0, 200.0];
-        let mono = run_network_period(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-        )
-        .unwrap();
+        let mono = drive(&config(4, 1), central(&scheme, 1.0), &[&trips], &history);
         for shards in [1usize, 2, 4, 8] {
-            let sharded = run_network_period_sharded(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
+            let sharded = drive(
+                &config(4, 1),
+                ShardedServer::new(scheme.clone(), 1.0, shards).unwrap(),
+                &[&trips],
                 &history,
-                60.0,
-                4,
-                shards,
-            )
-            .unwrap();
-            assert_eq!(sharded.exchanges, mono.exchanges, "shards = {shards}");
+            );
+            assert_eq!(
+                sharded.exchanges_per_period, mono.exchanges_per_period,
+                "shards = {shards}"
+            );
             assert_eq!(sharded.server.upload_count(), 3);
             for (a, b) in [(0u64, 1u64), (0, 2), (1, 2)] {
                 assert_eq!(
@@ -2232,7 +1303,6 @@ mod tests {
 
     #[test]
     fn faulty_sharded_run_replays_the_monolithic_fault_sequence() {
-        let net = line_net();
         let trips: Vec<VehicleTrip> = (0..300).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let history = [300.0, 300.0, 300.0];
@@ -2244,37 +1314,29 @@ mod tests {
                     .with_bit_flip(0.05),
             )
             .with_upload_link(crate::faults::LinkFaults::none().with_drop(0.4));
-        let policy = RetryPolicy::default();
-        let mono = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
+        let mono = drive(
+            &faulty(4, 1, &plan),
+            central(&scheme, 1.0),
+            &[&trips],
             &history,
-            60.0,
-            4,
-            &plan,
-            &policy,
-        )
-        .unwrap();
-        assert!(mono.faults.report_link.dropped > 0, "plan actually injects");
+        );
+        assert!(
+            mono.faults_per_period[0].report_link.dropped > 0,
+            "plan actually injects"
+        );
         for shards in [1usize, 2, 4, 8] {
-            let sharded = run_network_period_faulty_sharded(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
+            let sharded = drive(
+                &faulty(4, 1, &plan),
+                ShardedServer::new(scheme.clone(), 1.0, shards).unwrap(),
+                &[&trips],
                 &history,
-                60.0,
-                4,
-                &plan,
-                &policy,
-                shards,
-            )
-            .unwrap();
-            assert_eq!(sharded.exchanges, mono.exchanges);
-            assert_eq!(sharded.faults, mono.faults, "shards = {shards}");
-            assert_eq!(sharded.undelivered, mono.undelivered);
+            );
+            assert_eq!(sharded.exchanges_per_period, mono.exchanges_per_period);
+            assert_eq!(
+                sharded.faults_per_period, mono.faults_per_period,
+                "shards = {shards}"
+            );
+            assert_eq!(sharded.undelivered_per_period, mono.undelivered_per_period);
             for node in 0..3u64 {
                 assert_eq!(
                     sharded.server.upload(RsuId(node)),
@@ -2294,39 +1356,27 @@ mod tests {
 
     #[test]
     fn sharded_registry_counters_match_monolith_modulo_shard_series() {
-        let net = line_net();
         let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
         let scheme = Scheme::variable(2, 3.0, 9).unwrap();
         let history = [200.0, 200.0, 200.0];
         let mono_obs = Obs::enabled(vcps_obs::Level::Info);
-        let mono = run_network_period_threads_obs(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
+        let mono = drive(
+            &config(4, 2),
+            central(&scheme, 1.0).with_obs(mono_obs.clone()),
+            &[&trips],
             &history,
-            60.0,
-            4,
-            2,
-            &mono_obs,
-        )
-        .unwrap();
+        );
         let _ = mono.server.od_matrix_threads(2).unwrap();
         for shards in [1usize, 4] {
             let obs = Obs::enabled(vcps_obs::Level::Info);
-            let sharded = run_network_period_sharded_threads_obs(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
+            let sharded = drive(
+                &config(4, 2),
+                ShardedServer::new(scheme.clone(), 1.0, shards)
+                    .unwrap()
+                    .with_obs(obs.clone()),
+                &[&trips],
                 &history,
-                60.0,
-                4,
-                shards,
-                2,
-                &obs,
-            )
-            .unwrap();
+            );
             let _ = sharded.server.od_matrix_threads(2).unwrap();
             let mut counters = obs.snapshot().counters;
             counters.retain(|name, _| !name.starts_with("shard.") && !name.starts_with("batch."));

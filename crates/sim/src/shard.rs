@@ -193,6 +193,11 @@ impl ShardedServer {
         self.shards[shard].seed_history(rsu, average);
     }
 
+    /// The EWMA smoothing factor every shard's history uses.
+    pub(crate) fn history_alpha(&self) -> f64 {
+        self.shards[0].history().alpha()
+    }
+
     /// The historical average volume recorded for `rsu`, if any.
     #[must_use]
     pub fn history_average(&self, rsu: RsuId) -> Option<f64> {

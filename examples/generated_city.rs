@@ -10,7 +10,7 @@
 use vcps::roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes, turning_movements};
 use vcps::roadnet::expand_vehicle_trips;
 use vcps::roadnet::generate::{gravity_trips, grid_network, GridSpec};
-use vcps::sim::engine::run_network_period;
+use vcps::sim::{CentralServer, PeriodRun, PeriodSettings};
 use vcps::{RsuId, Scheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,19 +52,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vehicles = expand_vehicle_trips(&assignment, &trips, subsample);
     let scheme = Scheme::variable(2, 8.0, seed)?;
     let history: Vec<f64> = volumes.iter().map(|v| v / subsample).collect();
-    let run = run_network_period(
-        &scheme,
+    let run = PeriodRun {
+        settings: PeriodSettings {
+            period_length: 1_800.0,
+            seed,
+        },
+        ..PeriodRun::default()
+    }
+    .run(
+        CentralServer::new(scheme, 1.0)?,
         &net,
         &net.free_flow_times(),
-        &vehicles,
+        &[&vehicles],
         &history,
-        1_800.0,
-        seed,
     )?;
     println!(
         "simulated {} vehicles, {} exchanges",
         vehicles.len(),
-        run.exchanges
+        run.exchanges_per_period[0]
     );
 
     // Decode the five heaviest pairs and compare with ground truth.

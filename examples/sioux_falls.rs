@@ -9,7 +9,7 @@
 
 use vcps::roadnet::assignment::{all_or_nothing, msa_equilibrium, pair_volumes, point_volumes};
 use vcps::roadnet::{expand_vehicle_trips, sioux_falls};
-use vcps::sim::engine::run_network_period;
+use vcps::sim::{CentralServer, PeriodRun, PeriodSettings};
 use vcps::{RsuId, Scheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,16 +43,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let scheme = Scheme::variable(2, 8.0, 2026)?;
     let history: Vec<f64> = truth_points.iter().map(|v| v / subsample).collect();
-    let run = run_network_period(
-        &scheme,
+    let run = PeriodRun {
+        settings: PeriodSettings {
+            period_length: 3_600.0,
+            seed: 7,
+        },
+        ..PeriodRun::default()
+    }
+    .run(
+        CentralServer::new(scheme, 1.0)?,
         &net,
         &eq.link_times,
-        &vehicles,
+        &[&vehicles],
         &history,
-        3_600.0,
-        7,
     )?;
-    println!("query/answer exchanges: {}", run.exchanges);
+    println!("query/answer exchanges: {}", run.exchanges_per_period[0]);
 
     // Estimate a few pairs against node 10 (the heaviest), Table-I style.
     let y_label = 10;

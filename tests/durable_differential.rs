@@ -20,15 +20,10 @@ use proptest::prelude::*;
 use vcps::hash::splitmix64;
 use vcps::obs::{Level, Obs};
 use vcps::roadnet::{Link, RoadNetwork, VehicleTrip};
-use vcps::sim::engine::{
-    run_network_period_durable_faulty_sharded_threads_obs,
-    run_network_period_durable_sharded_threads_obs, run_network_period_faulty_sharded_threads_obs,
-    run_network_period_sharded_threads_obs,
-};
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{
-    DurableOptions, DurableServer, FaultPlan, FlushPolicy, LinkFaults, RetryPolicy, ServerCrash,
-    ShardedServer,
+    DurableOptions, DurableServer, FaultPlan, FlushPolicy, LinkFaults, PeriodRun, PeriodSettings,
+    RetryPolicy, ServerCrash, ShardedServer,
 };
 use vcps::{BitArray, RsuId, Scheme};
 
@@ -129,6 +124,18 @@ fn line4_trips(count: u64, seed: u64) -> Vec<VehicleTrip> {
         .collect()
 }
 
+/// A 60-second departure window under `seed`, at `threads` workers.
+fn config(seed: u64, threads: usize) -> PeriodRun {
+    PeriodRun {
+        settings: PeriodSettings {
+            period_length: 60.0,
+            seed,
+        },
+        threads,
+        ..PeriodRun::default()
+    }
+}
+
 fn all_pair_estimates<F, E>(nodes: u64, estimate: F) -> Vec<E>
 where
     F: Fn(RsuId, RsuId) -> E,
@@ -155,19 +162,17 @@ fn ideal_crash_and_recover_is_bit_identical() {
     let history = vec![120.0; 4];
 
     let ref_obs = Obs::enabled(Level::Info);
-    let reference = run_network_period_sharded_threads_obs(
-        &scheme,
-        &net,
-        &net.free_flow_times(),
-        &trips,
-        &history,
-        60.0,
-        seed,
-        2,
-        1,
-        &ref_obs,
-    )
-    .expect("reference run");
+    let reference = config(seed, 1)
+        .run(
+            ShardedServer::new(scheme.clone(), 1.0, 2)
+                .expect("reference server")
+                .with_obs(ref_obs.clone()),
+            &net,
+            &net.free_flow_times(),
+            &[&trips],
+            &history,
+        )
+        .expect("reference run");
     let ref_counters = strip_own_series(ref_obs.snapshot().counters);
     let ref_matrix = reference.server.od_matrix_threads(1);
     let ref_pairs = all_pair_estimates(4, |a, b| reference.server.estimate_or_degraded(a, b));
@@ -189,21 +194,14 @@ fn ideal_crash_and_recover_is_bit_identical() {
                 ] {
                     let dir = scratch("ideal");
                     let obs = Obs::enabled(Level::Info);
-                    let run = run_network_period_durable_sharded_threads_obs(
-                        &scheme,
-                        &net,
-                        &net.free_flow_times(),
-                        &trips,
-                        &history,
-                        60.0,
-                        seed,
-                        shards,
-                        &dir,
-                        options,
+                    let server =
+                        DurableServer::create(scheme.clone(), 1.0, shards, &dir, options, &obs)
+                            .expect("create durable server");
+                    let run = PeriodRun {
                         crash,
-                        threads,
-                        &obs,
-                    )
+                        ..config(seed, threads)
+                    }
+                    .run(server, &net, &net.free_flow_times(), &[&trips], &history)
                     .expect("durable run");
                     let label = format!(
                         "{shards} shards x {threads} threads, crash {crash:?}, options {options:?}"
@@ -215,8 +213,11 @@ fn ideal_crash_and_recover_is_bit_identical() {
                         ref_counters,
                         "counters: {label}"
                     );
-                    assert_eq!(run.exchanges, reference.exchanges, "exchanges: {label}");
-                    assert_eq!(run.wal_records, 1, "wal records: {label}");
+                    assert_eq!(
+                        run.exchanges_per_period, reference.exchanges_per_period,
+                        "exchanges: {label}"
+                    );
+                    assert_eq!(run.server.records_logged(), 1, "wal records: {label}");
                     assert_eq!(run.recovery.is_some(), crash.is_some(), "recovery: {label}");
                     if let (Some(report), Some(c)) = (&run.recovery, crash) {
                         if c.at_record == 0 {
@@ -226,18 +227,21 @@ fn ideal_crash_and_recover_is_bit_identical() {
                     }
                     for node in 0..4u64 {
                         assert_eq!(
-                            run.server.upload(RsuId(node)),
+                            run.server.server().upload(RsuId(node)),
                             reference.server.upload(RsuId(node)),
                             "upload for node {node}: {label}"
                         );
                     }
                     assert_eq!(
-                        run.server.od_matrix_threads(threads),
+                        run.server.server().od_matrix_threads(threads),
                         ref_matrix,
                         "od matrix: {label}"
                     );
                     assert_eq!(
-                        all_pair_estimates(4, |a, b| run.server.estimate_or_degraded(a, b)),
+                        all_pair_estimates(4, |a, b| run
+                            .server
+                            .server()
+                            .estimate_or_degraded(a, b)),
                         ref_pairs,
                         "estimates: {label}"
                     );
@@ -266,22 +270,22 @@ fn faulty_crash_and_recover_is_bit_identical() {
         .with_upload_link(LinkFaults::none().with_drop(0.3).with_duplicate(0.2));
     let policy = RetryPolicy::default();
 
+    let faulty = |threads| PeriodRun {
+        faults: Some((plan.clone(), policy)),
+        ..config(seed, threads)
+    };
     let ref_obs = Obs::enabled(Level::Info);
-    let reference = run_network_period_faulty_sharded_threads_obs(
-        &scheme,
-        &net,
-        &net.free_flow_times(),
-        &trips,
-        &history,
-        60.0,
-        seed,
-        &plan,
-        &policy,
-        2,
-        1,
-        &ref_obs,
-    )
-    .expect("reference faulty run");
+    let reference = faulty(1)
+        .run(
+            ShardedServer::new(scheme.clone(), 1.0, 2)
+                .expect("reference server")
+                .with_obs(ref_obs.clone()),
+            &net,
+            &net.free_flow_times(),
+            &[&trips],
+            &history,
+        )
+        .expect("reference faulty run");
     let ref_counters = strip_own_series(ref_obs.snapshot().counters);
     let ref_pairs = all_pair_estimates(4, |a, b| reference.server.estimate_or_degraded(a, b));
 
@@ -297,23 +301,14 @@ fn faulty_crash_and_recover_is_bit_identical() {
                 for at_record in [0, 2, 1 << 40] {
                     let dir = scratch("faulty");
                     let obs = Obs::enabled(Level::Info);
-                    let run = run_network_period_durable_faulty_sharded_threads_obs(
-                        &scheme,
-                        &net,
-                        &net.free_flow_times(),
-                        &trips,
-                        &history,
-                        60.0,
-                        seed,
-                        &plan,
-                        &policy,
-                        shards,
-                        &dir,
-                        options,
-                        Some(ServerCrash { at_record }),
-                        threads,
-                        &obs,
-                    )
+                    let server =
+                        DurableServer::create(scheme.clone(), 1.0, shards, &dir, options, &obs)
+                            .expect("create durable server");
+                    let run = PeriodRun {
+                        crash: Some(ServerCrash { at_record }),
+                        ..faulty(threads)
+                    }
+                    .run(server, &net, &net.free_flow_times(), &[&trips], &history)
                     .expect("durable faulty run");
                     let label = format!(
                         "{shards} shards x {threads} threads, crash at {at_record}, options {options:?}"
@@ -323,23 +318,32 @@ fn faulty_crash_and_recover_is_bit_identical() {
                         ref_counters,
                         "counters: {label}"
                     );
-                    assert_eq!(run.exchanges, reference.exchanges, "exchanges: {label}");
-                    assert_eq!(run.faults, reference.faults, "fault metrics: {label}");
                     assert_eq!(
-                        run.undelivered, reference.undelivered,
+                        run.exchanges_per_period, reference.exchanges_per_period,
+                        "exchanges: {label}"
+                    );
+                    assert_eq!(
+                        run.faults_per_period, reference.faults_per_period,
+                        "fault metrics: {label}"
+                    );
+                    assert_eq!(
+                        run.undelivered_per_period, reference.undelivered_per_period,
                         "undelivered: {label}"
                     );
                     let report = run.recovery.as_ref().expect("crash always recovers");
                     assert!(report.tail_error.is_none(), "clean tail: {label}");
                     for node in 0..4u64 {
                         assert_eq!(
-                            run.server.upload(RsuId(node)),
+                            run.server.server().upload(RsuId(node)),
                             reference.server.upload(RsuId(node)),
                             "upload for node {node}: {label}"
                         );
                     }
                     assert_eq!(
-                        all_pair_estimates(4, |a, b| run.server.estimate_or_degraded(a, b)),
+                        all_pair_estimates(4, |a, b| run
+                            .server
+                            .server()
+                            .estimate_or_degraded(a, b)),
                         ref_pairs,
                         "estimates: {label}"
                     );
@@ -348,6 +352,86 @@ fn faulty_crash_and_recover_is_bit_identical() {
             }
         }
     }
+}
+
+/// Multi-period durability: a 3-period ideal run through the durable
+/// backend (no crash) must match the sharded backend's per-period
+/// sizes, sliding window, every post-run pair, and counters — and
+/// reopening the WAL directory must answer the same pairs.
+#[test]
+fn multi_period_durable_run_matches_sharded_and_recovers() {
+    let seed = 0x3E_71;
+    let net = line4();
+    let periods: Vec<Vec<VehicleTrip>> = [80u64, 160, 120]
+        .iter()
+        .enumerate()
+        .map(|(p, &count)| line4_trips(count, seed ^ p as u64))
+        .collect();
+    let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
+    let history = vec![80.0; 4];
+    let multi = PeriodRun {
+        window: Some(3),
+        ..config(seed, 2)
+    };
+
+    let ref_obs = Obs::enabled(Level::Info);
+    let reference = multi
+        .run(
+            ShardedServer::new(scheme.clone(), 0.5, 2)
+                .expect("reference server")
+                .with_obs(ref_obs.clone()),
+            &net,
+            &net.free_flow_times(),
+            &periods,
+            &history,
+        )
+        .expect("reference run");
+    let ref_counters = strip_own_series(ref_obs.snapshot().counters);
+    let ref_pairs = all_pair_estimates(4, |a, b| reference.server.estimate_or_degraded(a, b));
+    assert_ne!(
+        reference.sizes_per_period[0], reference.sizes_per_period[2],
+        "the workload must actually re-size arrays between periods"
+    );
+
+    let dir = scratch("multi-period");
+    let options = DurableOptions::log_only();
+    let obs = Obs::enabled(Level::Info);
+    let server = DurableServer::create(scheme.clone(), 0.5, 2, &dir, options, &obs)
+        .expect("create durable server");
+    let run = multi
+        .run(server, &net, &net.free_flow_times(), &periods, &history)
+        .expect("durable run");
+    // Snapshot before any reads — estimates fire their own counters.
+    assert_eq!(
+        strip_own_series(obs.snapshot().counters),
+        ref_counters,
+        "counters"
+    );
+    assert!(run.recovery.is_none());
+    assert_eq!(
+        run.server.records_logged(),
+        3,
+        "one batch record per period"
+    );
+    assert_eq!(run.exchanges_per_period, reference.exchanges_per_period);
+    assert_eq!(run.sizes_per_period, reference.sizes_per_period);
+    assert_eq!(run.window, reference.window);
+    assert_eq!(
+        all_pair_estimates(4, |a, b| run.server.server().estimate_or_degraded(a, b)),
+        ref_pairs,
+        "post-run pairs"
+    );
+    drop(run);
+
+    let (recovered, report) =
+        DurableServer::recover(scheme, 0.5, 2, &dir, options, &Obs::disabled()).expect("recovery");
+    assert!(report.tail_error.is_none());
+    assert_eq!(
+        all_pair_estimates(4, |a, b| recovered.server().estimate_or_degraded(a, b)),
+        ref_pairs,
+        "recovered pairs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Feeds a workload through a durable server, then corrupts the WAL

@@ -22,17 +22,16 @@ use std::collections::BTreeMap;
 
 use vcps::hash::splitmix64;
 use vcps::obs::{Level, Obs};
-use vcps::sim::engine::PeriodSettings;
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{
-    build_metro, run_metro_faulty_monolith_threads, run_metro_faulty_sharded_threads,
-    run_metro_monolith_threads, run_metro_sharded_threads, CentralServer, FaultPlan, LinkFaults,
-    MetroConfig, MetroWorkload, RetryPolicy, SimError, SlidingWindow,
+    build_metro, CentralServer, FaultPlan, LinkFaults, MetroConfig, MetroWorkload, PeriodRun,
+    PeriodSettings, RetryPolicy, RunOutcome, ServerBackend, ShardedServer, SimError, SlidingWindow,
 };
 use vcps::{BitArray, RsuId, Scheme};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+const ALPHA: f64 = vcps::VolumeHistory::DEFAULT_ALPHA;
 
 /// Strips the sharded server's own progress series, leaving exactly the
 /// counters the monolith also fires.
@@ -62,6 +61,32 @@ fn metro_fixture() -> (MetroWorkload, Scheme, PeriodSettings) {
     (workload, scheme, settings)
 }
 
+/// Drives the fixture's periods through `server` with a two-period
+/// sliding window.
+fn drive_metro<S: ServerBackend>(
+    server: S,
+    workload: &MetroWorkload,
+    settings: PeriodSettings,
+    threads: usize,
+    faults: Option<(FaultPlan, RetryPolicy)>,
+) -> RunOutcome<S> {
+    PeriodRun {
+        settings,
+        threads,
+        faults,
+        window: Some(2),
+        crash: None,
+    }
+    .run(
+        server,
+        &workload.net,
+        &workload.net.free_flow_times(),
+        &workload.periods,
+        &workload.initial_history,
+    )
+    .expect("metro run")
+}
+
 fn all_pair_estimates<F, E>(nodes: u64, estimate: F) -> Vec<E>
 where
     F: Fn(RsuId, RsuId) -> E,
@@ -80,37 +105,33 @@ fn metro_sharded_run_is_bit_identical_to_monolith() {
     let (workload, scheme, settings) = metro_fixture();
     let nodes = workload.net.node_count() as u64;
     let mono_obs = Obs::enabled(Level::Info);
-    let mono = run_metro_monolith_threads(
-        &scheme,
-        &workload.net,
-        &workload.net.free_flow_times(),
-        &workload.periods,
-        &workload.initial_history,
-        &settings,
-        2,
+    let mono = drive_metro(
+        CentralServer::new(scheme.clone(), ALPHA)
+            .expect("monolith")
+            .with_obs(mono_obs.clone()),
+        &workload,
+        settings,
         1,
-        &mono_obs,
-    )
-    .expect("monolithic metro run");
+        None,
+    );
     let mono_counters = mono_obs.snapshot().counters;
     let mono_pairs = all_pair_estimates(nodes, |a, b| mono.server.estimate_or_degraded(a, b));
 
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
             let obs = Obs::enabled(Level::Info);
-            let run = run_metro_sharded_threads(
-                &scheme,
-                &workload.net,
-                &workload.net.free_flow_times(),
-                &workload.periods,
-                &workload.initial_history,
-                &settings,
-                shards,
-                2,
+            let run = drive_metro(
+                ShardedServer::new(scheme.clone(), ALPHA, shards)
+                    .expect("sharded server")
+                    .with_obs(obs.clone()),
+                &workload,
+                settings,
                 threads,
-                &obs,
-            )
-            .expect("sharded metro run");
+                None,
+            );
+            // Snapshot before any reads — the last period stays open, so
+            // post-run estimates fire their own decode counters.
+            let counters = strip_shard_series(obs.snapshot().counters);
             assert_eq!(
                 run.window, mono.window,
                 "window matrices at {shards} shards x {threads} threads"
@@ -133,8 +154,7 @@ fn metro_sharded_run_is_bit_identical_to_monolith() {
                 "post-run estimates at {shards} shards x {threads} threads"
             );
             assert_eq!(
-                strip_shard_series(obs.snapshot().counters),
-                mono_counters,
+                counters, mono_counters,
                 "counters at {shards} shards x {threads} threads"
             );
         }
@@ -150,41 +170,33 @@ fn metro_faulty_sharded_run_is_bit_identical_to_monolith() {
         .with_upload_link(LinkFaults::none().with_drop(0.35).with_duplicate(0.1));
     let policy = RetryPolicy::default();
     let mono_obs = Obs::enabled(Level::Info);
-    let mono = run_metro_faulty_monolith_threads(
-        &scheme,
-        &workload.net,
-        &workload.net.free_flow_times(),
-        &workload.periods,
-        &workload.initial_history,
-        &settings,
-        &plan,
-        &policy,
-        2,
+    let mono = drive_metro(
+        CentralServer::new(scheme.clone(), ALPHA)
+            .expect("monolith")
+            .with_obs(mono_obs.clone()),
+        &workload,
+        settings,
         1,
-        &mono_obs,
-    )
-    .expect("monolithic faulty metro run");
+        Some((plan.clone(), policy)),
+    );
     let mono_counters = mono_obs.snapshot().counters;
     let mono_pairs = all_pair_estimates(nodes, |a, b| mono.server.estimate_or_degraded(a, b));
 
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
             let obs = Obs::enabled(Level::Info);
-            let run = run_metro_faulty_sharded_threads(
-                &scheme,
-                &workload.net,
-                &workload.net.free_flow_times(),
-                &workload.periods,
-                &workload.initial_history,
-                &settings,
-                &plan,
-                &policy,
-                shards,
-                2,
+            let run = drive_metro(
+                ShardedServer::new(scheme.clone(), ALPHA, shards)
+                    .expect("sharded server")
+                    .with_obs(obs.clone()),
+                &workload,
+                settings,
                 threads,
-                &obs,
-            )
-            .expect("sharded faulty metro run");
+                Some((plan.clone(), policy)),
+            );
+            // Snapshot before any reads — the last period stays open, so
+            // post-run estimates fire their own decode counters.
+            let counters = strip_shard_series(obs.snapshot().counters);
             assert_eq!(
                 run.window, mono.window,
                 "window matrices at {shards} shards x {threads} threads"
@@ -215,8 +227,7 @@ fn metro_faulty_sharded_run_is_bit_identical_to_monolith() {
                 "post-run estimates at {shards} shards x {threads} threads"
             );
             assert_eq!(
-                strip_shard_series(obs.snapshot().counters),
-                mono_counters,
+                counters, mono_counters,
                 "counters at {shards} shards x {threads} threads"
             );
         }

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use vcps::analysis::{accuracy, privacy, stats, PairParams};
 use vcps::bitarray::{combined_zero_count, combined_zero_count_naive, BitArray, Pow2};
 use vcps::roadnet::{gravity_demand, metro_marginals};
+use vcps::sim::CentralServer;
 use vcps::{estimate_pair, RsuId, RsuSketch, Salts, Scheme, VehicleIdentity};
 
 proptest! {
@@ -233,6 +234,30 @@ proptest! {
     fn salts_generation_is_stable(s in 1usize..32, seed in any::<u64>()) {
         prop_assert_eq!(Salts::generate(s, seed), Salts::generate(s, seed));
         prop_assert_eq!(Salts::generate(s, seed).len(), s);
+    }
+
+    // ---- Period sizing ---------------------------------------------------
+
+    /// The seam the run driver's first period relies on: it sizes
+    /// period 0 straight from the initial history with
+    /// `Scheme::array_size_for`, which must be exactly what seeding the
+    /// server and closing an empty period would return.
+    #[test]
+    fn seeded_finish_period_sizes_exactly_as_array_size_for(
+        history in prop::collection::vec(0.0f64..1e7, 1..48),
+        load_factor in 0.5f64..16.0,
+        seed in any::<u64>(),
+    ) {
+        let scheme = Scheme::variable(2, load_factor, seed).unwrap();
+        let mut server = CentralServer::new(scheme.clone(), 0.5).unwrap();
+        for (node, &h) in history.iter().enumerate() {
+            server.seed_history(RsuId(node as u64), h);
+        }
+        let sizes = server.finish_period().unwrap();
+        prop_assert_eq!(sizes.len(), history.len());
+        for (node, &h) in history.iter().enumerate() {
+            prop_assert_eq!(sizes[&RsuId(node as u64)], scheme.array_size_for(h).unwrap());
+        }
     }
 }
 

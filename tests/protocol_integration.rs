@@ -3,10 +3,9 @@
 
 use vcps::roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes};
 use vcps::roadnet::{expand_vehicle_trips, sioux_falls};
-use vcps::sim::engine::run_network_period;
 use vcps::sim::pki::TrustedAuthority;
 use vcps::sim::protocol::{BitReport, PeriodUpload, Query};
-use vcps::sim::MacAddress;
+use vcps::sim::{CentralServer, MacAddress, PeriodRun, PeriodSettings};
 use vcps::{RsuId, Scheme, SimError, SimRsu, SimVehicle, VehicleIdentity};
 
 #[test]
@@ -101,14 +100,19 @@ fn sioux_falls_period_estimates_track_assignment_ground_truth() {
     let history: Vec<f64> = truth_points.iter().map(|v| v / subsample).collect();
 
     let scheme = Scheme::variable(2, 8.0, 17).unwrap();
-    let run = run_network_period(
-        &scheme,
+    let run = PeriodRun {
+        settings: PeriodSettings {
+            period_length: 600.0,
+            seed: 3,
+        },
+        ..PeriodRun::default()
+    }
+    .run(
+        CentralServer::new(scheme, 1.0).unwrap(),
         &net,
         &net.free_flow_times(),
-        &vehicles,
+        &[&vehicles],
         &history,
-        600.0,
-        3,
     )
     .unwrap();
     assert_eq!(run.server.upload_count(), net.node_count());

@@ -16,12 +16,11 @@ use proptest::prelude::*;
 use vcps::hash::splitmix64;
 use vcps::obs::{Level, Obs};
 use vcps::roadnet::{Link, RoadNetwork, VehicleTrip};
-use vcps::sim::engine::{
-    run_network_period_faulty_sharded_threads_obs, run_network_period_faulty_threads_obs,
-    run_network_period_sharded_threads_obs, run_network_period_threads_obs,
-};
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
-use vcps::sim::{CentralServer, FaultPlan, LinkFaults, RetryPolicy, ShardedServer};
+use vcps::sim::{
+    CentralServer, FaultPlan, LinkFaults, PeriodRun, PeriodSettings, RetryPolicy, RunOutcome,
+    ServerBackend, ShardedServer,
+};
 use vcps::{BitArray, RsuId, Scheme};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -32,6 +31,29 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 fn strip_shard_series(mut counters: BTreeMap<String, u64>) -> BTreeMap<String, u64> {
     counters.retain(|name, _| !name.starts_with("shard.") && !name.starts_with("batch."));
     counters
+}
+
+/// One period over `net` with a 60-second departure window.
+fn run_period<S: ServerBackend>(
+    server: S,
+    net: &RoadNetwork,
+    trips: &[VehicleTrip],
+    history: &[f64],
+    seed: u64,
+    threads: usize,
+    faults: Option<(FaultPlan, RetryPolicy)>,
+) -> RunOutcome<S> {
+    PeriodRun {
+        settings: PeriodSettings {
+            period_length: 60.0,
+            seed,
+        },
+        threads,
+        faults,
+        ..PeriodRun::default()
+    }
+    .run(server, net, &net.free_flow_times(), &[trips], history)
+    .expect("network period")
 }
 
 /// A deterministic pseudo-random period workload: one sequenced upload
@@ -219,19 +241,20 @@ proptest! {
         let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
         let history = vec![trip_count as f64; 4];
         let mono_obs = Obs::enabled(Level::Info);
-        let mono = run_network_period_threads_obs(
-            &scheme, &net, &net.free_flow_times(), &trips, &history, 60.0, seed, 1, &mono_obs,
-        ).expect("monolithic run");
+        let mono = run_period(
+            CentralServer::new(scheme.clone(), 1.0).unwrap().with_obs(mono_obs.clone()),
+            &net, &trips, &history, seed, 1, None,
+        );
         let mono_pairs = all_pair_estimates(4, |a, b| mono.server.estimate_or_degraded(a, b));
 
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
                 let obs = Obs::enabled(Level::Info);
-                let run = run_network_period_sharded_threads_obs(
-                    &scheme, &net, &net.free_flow_times(), &trips, &history, 60.0, seed,
-                    shards, threads, &obs,
-                ).expect("sharded run");
-                prop_assert_eq!(run.exchanges, mono.exchanges);
+                let run = run_period(
+                    ShardedServer::new(scheme.clone(), 1.0, shards).unwrap().with_obs(obs.clone()),
+                    &net, &trips, &history, seed, threads, None,
+                );
+                prop_assert_eq!(&run.exchanges_per_period, &mono.exchanges_per_period);
                 for node in 0..4u64 {
                     prop_assert_eq!(
                         run.server.upload(RsuId(node)), mono.server.upload(RsuId(node)),
@@ -284,26 +307,26 @@ proptest! {
             );
         let policy = RetryPolicy::default();
         let mono_obs = Obs::enabled(Level::Info);
-        let mono = run_network_period_faulty_threads_obs(
-            &scheme, &net, &net.free_flow_times(), &trips, &history, 60.0, seed,
-            &plan, &policy, 1, &mono_obs,
-        ).expect("monolithic faulty run");
+        let mono = run_period(
+            CentralServer::new(scheme.clone(), 1.0).unwrap().with_obs(mono_obs.clone()),
+            &net, &trips, &history, seed, 1, Some((plan.clone(), policy)),
+        );
         let mono_pairs = all_pair_estimates(4, |a, b| mono.server.estimate_or_degraded(a, b));
 
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
                 let obs = Obs::enabled(Level::Info);
-                let run = run_network_period_faulty_sharded_threads_obs(
-                    &scheme, &net, &net.free_flow_times(), &trips, &history, 60.0, seed,
-                    &plan, &policy, shards, threads, &obs,
-                ).expect("sharded faulty run");
-                prop_assert_eq!(run.exchanges, mono.exchanges);
+                let run = run_period(
+                    ShardedServer::new(scheme.clone(), 1.0, shards).unwrap().with_obs(obs.clone()),
+                    &net, &trips, &history, seed, threads, Some((plan.clone(), policy)),
+                );
+                prop_assert_eq!(&run.exchanges_per_period, &mono.exchanges_per_period);
                 prop_assert_eq!(
-                    &run.faults, &mono.faults,
+                    &run.faults_per_period, &mono.faults_per_period,
                     "fault metrics at {} shards x {} threads", shards, threads
                 );
                 prop_assert_eq!(
-                    &run.undelivered, &mono.undelivered,
+                    &run.undelivered_per_period, &mono.undelivered_per_period,
                     "undelivered at {} shards x {} threads", shards, threads
                 );
                 for node in 0..4u64 {

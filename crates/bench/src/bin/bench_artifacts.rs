@@ -615,12 +615,12 @@ fn bench_shard(samples: usize) -> String {
 }
 
 /// Write-ahead-logged vs plain ingestion (DESIGN.md §17/§18). Every
-/// mode drives the same sequential `receive_sequenced` loop into a
-/// 4-shard server, so the only variable is the durability work:
-/// nothing, append+fsync per record, per-record fsync plus a
-/// checkpoint every 64 records, or group commit (append buffered,
-/// one fsync every N records plus a final `flush_wal` inside the
-/// timed region so every mode ends equally durable). Modes are
+/// mode drives the same sequential `receive_wire` loop over pre-encoded
+/// upload frames into a 4-shard server, so the only variable is the
+/// durability work: nothing, append+fsync per record, per-record fsync
+/// plus a checkpoint every 64 records, or group commit (append
+/// buffered, one fsync every N records plus a final `flush_wal` inside
+/// the timed region so every mode ends equally durable). Modes are
 /// sampled round-robin with per-mode minima so filesystem slow
 /// windows (journal flushes, dirty-page writeback) hit every row
 /// equally instead of whichever mode ran during them.
@@ -648,9 +648,12 @@ fn bench_wal(samples: usize) -> String {
     let obs = vcps_obs::Obs::disabled();
     let dir = std::env::temp_dir().join(format!("vcps-bench-wal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create wal bench dir");
-    let master = shard_ingest_workload(WAL_RSUS, WAL_BITS, WAL_FILL, 1)
+    let wires: Vec<Vec<u8>> = shard_ingest_workload(WAL_RSUS, WAL_BITS, WAL_FILL, 1)
         .pop()
-        .expect("one copy");
+        .expect("one copy")
+        .iter()
+        .map(|frame| frame.encode().to_vec())
+        .collect();
 
     let mut durable_modes: Vec<(String, DurableOptions)> = vec![
         ("wal".to_string(), DurableOptions::log_only()),
@@ -674,14 +677,13 @@ fn bench_wal(samples: usize) -> String {
     // steady-state durability work these rows price.
     modes.push(Box::new({
         let scheme = scheme.clone();
-        let master = master.clone();
+        let wires = &wires;
         move || {
-            let frames = master.clone();
             let mut server =
                 ShardedServer::new(scheme.clone(), 1.0, WAL_SHARDS).expect("valid shard count");
             let start = Instant::now();
-            for frame in frames {
-                server.receive_sequenced(frame);
+            for wire in wires {
+                server.receive_wire(wire).expect("valid frame");
             }
             assert_eq!(server.upload_count(), WAL_RSUS);
             start.elapsed().as_nanos()
@@ -694,11 +696,10 @@ fn bench_wal(samples: usize) -> String {
         std::fs::create_dir_all(&mode_dir).expect("create wal mode dir");
         modes.push(Box::new({
             let scheme = scheme.clone();
-            let master = master.clone();
+            let wires = &wires;
             let obs = obs.clone();
             let options = *options;
             move || {
-                let frames = master.clone();
                 let mut server = DurableServer::create(
                     scheme.clone(),
                     1.0,
@@ -709,8 +710,8 @@ fn bench_wal(samples: usize) -> String {
                 )
                 .expect("create durable server");
                 let start = Instant::now();
-                for frame in frames {
-                    server.receive_sequenced(frame).expect("logged ingest");
+                for wire in wires {
+                    server.receive_wire(wire).expect("logged ingest");
                 }
                 server.flush_wal().expect("flush buffered tail");
                 assert_eq!(server.server().upload_count(), WAL_RSUS);

@@ -106,9 +106,7 @@ impl Workload {
         let mut reference =
             ShardedServer::new(self.scheme.clone(), 1.0, 4).expect("reference server");
         for frame in reference_order(frames) {
-            reference
-                .receive_batch_wire(frame)
-                .expect("reference replay");
+            reference.receive_wire(frame).expect("reference replay");
         }
         reference
     }

@@ -7,8 +7,8 @@
 //! * [`Daemon`] — `vcpsd`'s engine: a `std::net` TCP accept loop,
 //!   length-delimited framing with the prefix capped *before*
 //!   allocation, per-connection DoS budgets ([`ConnectionLimits`]), and
-//!   dispatch into the existing [`ShardedServer`]
-//!   (zero-copy `receive_batch_wire` by default) or a WAL-backed
+//!   dispatch of every upload frame, verbatim, into one `receive_wire`
+//!   call on the existing [`ShardedServer`] or a WAL-backed
 //!   [`DurableServer`];
 //! * [`NetClient`] — a blocking request/response client with a
 //!   pipelined ingest path;

@@ -40,10 +40,7 @@ use std::time::{Duration, Instant};
 
 use vcps_core::Scheme;
 use vcps_obs::Obs;
-use vcps_sim::{
-    DurableOptions, DurableServer, PeriodUpload, SequencedUpload, SequencedUploadRef,
-    ShardedServer, SimError,
-};
+use vcps_sim::{DurableOptions, DurableServer, ShardedServer, UploadFrameRef};
 
 use crate::limits::TokenBucket;
 use crate::wire::{
@@ -449,11 +446,12 @@ fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Vec<u8>, NetError> {
         .first()
         .ok_or(NetError::Malformed("empty payload"))?;
     match tag {
-        3..=6 => {
-            let outcomes = {
-                let mut backend = shared.backend.write().expect("backend poisoned");
-                ingest(&mut backend, tag, payload)?
-            };
+        tag if UploadFrameRef::is_upload_tag(tag) => {
+            let outcomes = match &mut *shared.backend.write().expect("backend poisoned") {
+                Backend::Volatile(s) => s.receive_wire(payload),
+                Backend::Durable(d) => d.receive_wire(payload),
+            }
+            .map_err(NetError::from)?;
             Ok(AckSummary::from_outcomes(&outcomes).encode())
         }
         REQ_PAIR_QUERY => {
@@ -518,41 +516,4 @@ fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Vec<u8>, NetError> {
         )),
         other => Err(NetError::UnknownTag(other)),
     }
-}
-
-/// Routes an upload frame (tags 3–6) into the backend.
-fn ingest(
-    backend: &mut Backend,
-    tag: u8,
-    payload: &[u8],
-) -> Result<Vec<vcps_sim::ReceiveOutcome>, NetError> {
-    let outcomes = match (backend, tag) {
-        (Backend::Volatile(s), 3 | 4) => {
-            // Bare uploads have no borrowed ingest entry point; they are
-            // the legacy single-frame path and always materialize.
-            vec![s.receive(PeriodUpload::decode(payload).map_err(sim_err)?)]
-        }
-        (Backend::Volatile(s), 5) => {
-            let view = SequencedUploadRef::decode_ref(payload).map_err(sim_err)?;
-            vec![s.receive_sequenced_ref(&view)]
-        }
-        (Backend::Volatile(s), _) => s.receive_batch_wire(payload).map_err(sim_err)?,
-        (Backend::Durable(_), 3 | 4) => {
-            return Err(NetError::Malformed(
-                "durable mode requires sequenced uploads (tags 5 or 6)",
-            ));
-        }
-        (Backend::Durable(d), 5) => {
-            // The WAL logs sequenced frames whole.
-            vec![d
-                .receive_sequenced(SequencedUpload::decode(payload).map_err(sim_err)?)
-                .map_err(sim_err)?]
-        }
-        (Backend::Durable(d), _) => d.receive_batch_wire(payload).map_err(sim_err)?,
-    };
-    Ok(outcomes)
-}
-
-fn sim_err(e: SimError) -> NetError {
-    NetError::from(e)
 }

@@ -8,10 +8,12 @@
 //! of reads.
 //!
 //! Payloads are self-describing via their first byte. Tags 1–8 are the
-//! simulator's existing wire protocol (uploads, batches, checkpoints)
-//! and pass through byte-for-byte — the daemon feeds them to
-//! [`ShardedServer::receive_batch_wire`](vcps_sim::ShardedServer::receive_batch_wire)
-//! and friends without re-encoding. Tags 16–20 are daemon requests and
+//! simulator's existing wire protocol (uploads, batches, checkpoints);
+//! the upload tags 3–6 pass through byte-for-byte — the daemon hands
+//! them to the backend's one `receive_wire` entry point
+//! ([`ShardedServer::receive_wire`](vcps_sim::ShardedServer::receive_wire)
+//! or [`DurableServer::receive_wire`](vcps_sim::DurableServer::receive_wire))
+//! without re-encoding. Tags 16–20 are daemon requests and
 //! 32–37 daemon responses, defined here. All integers are big-endian;
 //! floating-point fields travel as IEEE-754 bit patterns
 //! (`f64::to_bits`), so an estimate survives the wire bit-identically —

@@ -5,12 +5,15 @@
 use std::path::PathBuf;
 
 use vcps_core::{RsuId, Scheme};
-use vcps_net::wire::estimate_bits;
+use vcps_net::wire::{estimate_bits, Response};
 use vcps_net::workload::{city_replay_frames, reference_order};
 use vcps_net::{ConnectionLimits, Daemon, DaemonConfig, NetClient, WireMatrix};
 use vcps_obs::Obs;
 use vcps_sim::synthetic::SyntheticCity;
-use vcps_sim::{DurableOptions, DurableServer, FlushPolicy, OdMatrix, ShardedServer};
+use vcps_sim::{
+    BatchUpload, DurableOptions, DurableServer, FlushPolicy, OdMatrix, PeriodUpload,
+    SequencedUpload, ShardedServer,
+};
 
 fn scheme() -> Scheme {
     Scheme::variable(2, 3.0, 41).unwrap()
@@ -55,7 +58,7 @@ fn assert_matrix_bit_identical(wire: &WireMatrix, local: &OdMatrix) {
 fn reference_server(frames_by_connection: &[Vec<Vec<u8>>], shards: usize) -> ShardedServer {
     let mut reference = ShardedServer::new(scheme(), 1.0, shards).unwrap();
     for frame in reference_order(frames_by_connection) {
-        reference.receive_batch_wire(frame).unwrap();
+        reference.receive_wire(frame).unwrap();
     }
     reference
 }
@@ -180,6 +183,82 @@ fn durable_daemon_flushes_on_shutdown_and_recovers() {
         reference.checkpoint(0),
         "recovered state must be bit-identical to the in-process reference"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Durable mode logs only sequenced frames that validate: bare uploads
+/// (tags 3/4) and truncated tag-5/tag-6 frames each get an error
+/// response on a connection that stays usable, and recovery replays
+/// exactly the accepted frames.
+#[test]
+fn durable_daemon_rejects_bad_frames_and_recovers_only_accepted() {
+    let dir = temp_dir("durable-bad-frames");
+    let upload = |rsu: u64, ones: &[usize]| PeriodUpload {
+        rsu: RsuId(rsu),
+        counter: ones.len() as u64,
+        bits: vcps_core::BitArray::from_indices(256, ones.iter().copied()).unwrap(),
+    };
+    let sequenced = SequencedUpload {
+        seq: 0,
+        upload: upload(1, &[3, 77, 130]),
+    }
+    .encode();
+    let batch = BatchUpload::new(vec![
+        SequencedUpload {
+            seq: 0,
+            upload: upload(2, &[5]),
+        },
+        SequencedUpload {
+            seq: 0,
+            upload: upload(3, &[9, 200]),
+        },
+    ])
+    .unwrap()
+    .encode();
+    let bare = upload(4, &[1, 2]);
+
+    let mut config = DaemonConfig::new(scheme());
+    config.wal_dir = Some(dir.clone());
+    let daemon = Daemon::bind("127.0.0.1:0", config).unwrap();
+    let addr = daemon.local_addr();
+    let handle = daemon.spawn();
+
+    let mut client = NetClient::connect(addr).unwrap();
+    let rejected = [
+        bare.encode().to_vec(),
+        bare.encode_compact().to_vec(),
+        sequenced[..sequenced.len() - 1].to_vec(),
+        batch[..batch.len() - 1].to_vec(),
+    ];
+    for (i, frame) in rejected.iter().enumerate() {
+        match client.call_raw(frame).unwrap() {
+            Response::Error(msg) => assert!(msg.contains("malformed"), "frame {i}: {msg}"),
+            other => panic!("frame {i} must be refused, got {other:?}"),
+        }
+        client
+            .ping()
+            .expect("the connection survives a refused frame");
+    }
+    assert_eq!(client.ingest(&sequenced).unwrap().frames, 1);
+    assert_eq!(client.ingest(&batch).unwrap().frames, 2);
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+
+    let mut reference = ShardedServer::new(scheme(), 1.0, 4).unwrap();
+    reference.receive_wire(&sequenced).unwrap();
+    reference.receive_wire(&batch).unwrap();
+    let (recovered, report) = DurableServer::recover(
+        scheme(),
+        1.0,
+        4,
+        &dir,
+        DurableOptions::log_only(),
+        &Obs::disabled(),
+    )
+    .unwrap();
+    assert_eq!(report.tail_error, None);
+    assert_eq!(report.checkpoint_records + report.replayed_records, 2);
+    assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -4,13 +4,12 @@
 //! everyone in range). Ingesting a [`BitReport`] touches exactly two
 //! words of state — one bit in the array and the passage counter — and
 //! both updates are commutative, so no lock is needed at all:
-//! [`SharedRsu`] stores its bits in an
-//! [`AtomicBitArray`](vcps_bitarray::AtomicBitArray) (one `fetch_or` per
-//! report) and its counter in an `AtomicU64` (one `fetch_add`). Because
-//! bit-setting is commutative and idempotent and addition is commutative,
-//! concurrent ingestion is order-insensitive: the resulting sketch is
-//! bit-identical to a sequential run over any permutation of the same
-//! reports (tested below).
+//! [`SharedRsu`] stores its bits in an [`AtomicBitArray`] (one
+//! `fetch_or` per report) and its counter in an `AtomicU64` (one
+//! `fetch_add`). Because bit-setting is commutative and idempotent and
+//! addition is commutative, concurrent ingestion is order-insensitive:
+//! the resulting sketch is bit-identical to a sequential run over any
+//! permutation of the same reports (tested below).
 //!
 //! [`MutexRsu`] keeps the old lock-per-report design as a measurable
 //! baseline; the workspace benches compare the two across thread counts.
@@ -289,9 +288,11 @@ pub fn ingest_parallel(rsu: &SharedRsu, reports: &[BitReport], threads: usize) -
         return 0;
     }
     // Small enough to balance load, large enough to amortize the shared
-    // cursor: aim for several chunks per worker.
+    // cursor: aim for several chunks per worker. Capping the request
+    // first keeps `threads * 8` from overflowing on a hostile count.
+    let threads = capped_executors(threads);
     let chunk = reports.len().div_ceil(threads * 8).max(64);
-    let executors = capped_executors(threads).min(reports.len().div_ceil(chunk));
+    let executors = threads.min(reports.len().div_ceil(chunk));
     if executors <= 1 {
         return reports.iter().filter(|r| rsu.receive(r).is_err()).count();
     }
@@ -371,8 +372,9 @@ pub fn try_ingest_parallel(
     if reports.is_empty() {
         return Ok(());
     }
+    let threads = capped_executors(threads);
     let chunk = reports.len().div_ceil(threads * 8).max(64);
-    let executors = capped_executors(threads).min(reports.len().div_ceil(chunk));
+    let executors = threads.min(reports.len().div_ceil(chunk));
     if executors <= 1 {
         for report in reports {
             rsu.receive(report)?;
@@ -557,7 +559,10 @@ where
         return Vec::new();
     }
     // Several chunks per worker so stragglers can be stolen around, but
-    // chunks stay large enough to amortize the shared cursor.
+    // chunks stay large enough to amortize the shared cursor. The request
+    // is capped to the executors first: a caller-supplied count (a
+    // daemon O–D query carries one) must not overflow `threads * 4`.
+    let threads = capped_executors(threads);
     let chunk = n.div_ceil(threads * 4).max(1);
     // One executor needs no pool dispatch, no cursor, and — crucially
     // for short jobs like a small O–D triangle — no cross-thread
@@ -570,7 +575,7 @@ where
     let executors = if threads == 1 || n == 1 {
         1
     } else {
-        capped_executors(threads).min(n.div_ceil(chunk))
+        threads.min(n.div_ceil(chunk))
     };
     if executors <= 1 {
         return items.iter().map(f).collect();
@@ -767,6 +772,33 @@ mod tests {
             assert_eq!(out, (0..1_000).map(|x| x * 3).collect::<Vec<_>>());
         }
         assert_eq!(parallel_map(Vec::<u64>::new(), |&x| x), Vec::<u64>::new());
+    }
+
+    /// A thread count near `usize::MAX` (a daemon O–D query carries a
+    /// client-chosen one) must not overflow the chunk arithmetic: it
+    /// answers exactly like one thread.
+    #[test]
+    fn huge_thread_counts_answer_like_one_thread() {
+        let items: Vec<u64> = (0..1_000).collect();
+        let one = parallel_map_threads(items.clone(), 1, |&x| x * 3);
+        for threads in [1 << 62, usize::MAX] {
+            assert_eq!(
+                parallel_map_threads(items.clone(), threads, |&x| x * 3),
+                one
+            );
+        }
+
+        let ca = TrustedAuthority::new(3);
+        let m = 1usize << 12;
+        let batch = reports(5_000, m as u64);
+        let single = SharedRsu::new(RsuId(1), m, &ca).unwrap();
+        assert_eq!(ingest_parallel(&single, &batch, 1), 0);
+        let huge = SharedRsu::new(RsuId(1), m, &ca).unwrap();
+        assert_eq!(ingest_parallel(&huge, &batch, usize::MAX), 0);
+        let tried = SharedRsu::new(RsuId(1), m, &ca).unwrap();
+        try_ingest_parallel(&tried, &batch, usize::MAX).unwrap();
+        assert_eq!(huge.upload(), single.upload());
+        assert_eq!(tried.upload(), single.upload());
     }
 
     #[test]

@@ -5,26 +5,29 @@
 //!
 //! # Recovery model
 //!
-//! Every wire frame that reaches ingestion is appended to the WAL
-//! *before* it is applied (fsynced per record by default, or batched
-//! under a group-commit [`FlushPolicy`] — see DESIGN.md §18) — any
-//! outcome, not just `Fresh`:
-//! replaying the full arrival stream through the very same
-//! [`ShardedServer::receive_sequenced`] / [`receive_batch`] paths
-//! reproduces dedup and sequencing decisions *by construction*, instead
-//! of re-implementing them in a recovery routine that could drift.
+//! Uploads arrive as wire frames through one entry point,
+//! [`DurableServer::receive_wire`]. Each frame is validated once as a
+//! sequenced [`UploadFrameRef`] (tag 5 or 6; bare tags 3/4 carry no
+//! sequence number and are refused), appended to the WAL *verbatim* —
+//! the log is the wire, no re-encode — and only then applied from the
+//! view already validated (fsynced per record by default, or batched
+//! under a group-commit [`FlushPolicy`] — see DESIGN.md §18). Every
+//! accepted frame is logged, whatever its outcome, not just `Fresh`:
+//! recovery replays the log through the very same validate-and-apply
+//! step, so dedup and sequencing decisions are reproduced *by
+//! construction* instead of by a recovery routine that could drift.
 //! Recovery is therefore:
 //!
 //! 1. load the newest checkpoint that validates **and** is covered by
 //!    the WAL's surviving prefix (a checkpoint ahead of a mid-file
 //!    corruption is ignored — state is only trusted when the log that
 //!    produced it is);
-//! 2. replay the WAL records past the checkpoint through the normal
-//!    receive paths, silently (the rebuilt server carries a disabled
-//!    observability handle during replay — every replayed frame was
-//!    already counted when it was first accepted, so counters fire
-//!    exactly once per live event and a crashed-and-recovered run's
-//!    registry matches an uninterrupted run's, modulo the `wal.*`
+//! 2. replay the WAL records past the checkpoint through that same
+//!    validate-and-apply step, silently (the rebuilt server carries a
+//!    disabled observability handle during replay — every replayed
+//!    frame was already counted when it was first accepted, so counters
+//!    fire exactly once per live event and a crashed-and-recovered
+//!    run's registry matches an uninterrupted run's, modulo the `wal.*`
 //!    series);
 //! 3. truncate any torn tail so future appends land after the last
 //!    valid record, and re-attach the real observability handle.
@@ -43,8 +46,7 @@ use vcps_durable::{read_wal, CheckpointStore, DurabilityError, FlushPolicy, WalW
 use vcps_obs::{Level, Obs, Phase, Value};
 
 use crate::engine::ServerBackend;
-use crate::faults::SequencedSink;
-use crate::protocol::{BatchUpload, BatchUploadRef, CheckpointSet, SequencedUpload};
+use crate::protocol::{CheckpointSet, UploadFrameRef};
 use crate::{OdMatrix, ReceiveOutcome, ShardedServer, SimError};
 
 /// File name of the frame log inside a durability directory.
@@ -116,7 +118,7 @@ pub struct RecoveryReport {
     /// WAL records covered by the restored checkpoint (0: no usable
     /// checkpoint, full replay).
     pub checkpoint_records: u64,
-    /// WAL records replayed through the live receive paths.
+    /// WAL records replayed through the live validate-and-apply step.
     pub replayed_records: u64,
     /// Bytes of torn/corrupt WAL tail discarded before resuming
     /// appends.
@@ -140,8 +142,6 @@ pub struct DurableServer {
     options: DurableOptions,
     records_logged: u64,
     last_checkpoint: u64,
-    /// A WAL failure stashed by the infallible [`SequencedSink`] path.
-    sink_error: Option<Box<SimError>>,
 }
 
 impl DurableServer {
@@ -197,7 +197,6 @@ impl DurableServer {
             options,
             records_logged: 0,
             last_checkpoint: 0,
-            sink_error: None,
         })
     }
 
@@ -283,7 +282,7 @@ impl DurableServer {
         // replayed frames are not double-counted.
         let mut replayed = 0u64;
         for frame in &records[start as usize..] {
-            Self::replay_frame(&mut inner, frame)?;
+            inner.apply(&UploadFrameRef::decode_sequenced_ref(frame)?);
             replayed += 1;
         }
         inner.set_obs(obs.clone());
@@ -303,7 +302,6 @@ impl DurableServer {
                 options,
                 records_logged: total,
                 last_checkpoint: start,
-                sink_error: None,
             },
             report,
         ))
@@ -334,28 +332,6 @@ impl DurableServer {
             .to_path_buf();
         drop(self);
         Self::recover(scheme, history_alpha, shard_count, &dir, options, &obs)
-    }
-
-    /// Applies one logged wire frame through the normal receive paths,
-    /// dispatching on its tag byte. Replay runs the zero-copy decode —
-    /// the same validation the owned decoders perform, without the
-    /// per-frame materialization.
-    fn replay_frame(inner: &mut ShardedServer, frame: &[u8]) -> Result<(), SimError> {
-        match frame.first() {
-            Some(5) => {
-                let view = crate::protocol::SequencedUploadRef::decode_ref(frame)?;
-                let _ = inner.receive_sequenced_ref(&view);
-            }
-            Some(6) => {
-                let _ = inner.receive_batch_wire(frame)?;
-            }
-            _ => {
-                return Err(SimError::MalformedMessage {
-                    reason: "unknown WAL frame tag",
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Appends one frame to the WAL — the write-ahead step, always
@@ -421,80 +397,25 @@ impl DurableServer {
         Ok(())
     }
 
-    /// [`ShardedServer::receive_sequenced`], write-ahead logged (one
-    /// WAL record per frame).
+    /// Validates one sequenced upload frame (tag 5 or 6), appends its
+    /// bytes verbatim to the WAL as one record, then applies the view
+    /// already validated through [`ShardedServer::receive_wire`]'s
+    /// routing — the same apply [`recover`](Self::recover) replays
+    /// through.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Durability`] if the append, fsync, or a due
-    /// checkpoint fails — in which case the frame was **not** applied
-    /// (log first, apply second).
-    pub fn receive_sequenced(
-        &mut self,
-        sequenced: SequencedUpload,
-    ) -> Result<ReceiveOutcome, SimError> {
-        self.log_frame(&sequenced.encode())?;
-        let outcome = self.inner.receive_sequenced(sequenced);
-        self.maybe_checkpoint()?;
-        Ok(outcome)
-    }
-
-    /// [`ShardedServer::receive_batch`], write-ahead logged as a
-    /// *single* WAL record carrying the whole batch frame — replay
-    /// re-ingests it through the same batch path.
-    ///
-    /// # Errors
-    ///
-    /// As [`receive_sequenced`](Self::receive_sequenced).
-    pub fn receive_batch(&mut self, batch: BatchUpload) -> Result<Vec<ReceiveOutcome>, SimError> {
-        self.log_frame(&batch.encode())?;
-        let outcomes = self.inner.receive_batch(batch);
-        self.maybe_checkpoint()?;
-        Ok(outcomes)
-    }
-
-    /// [`ShardedServer::receive_batch_wire`], write-ahead logged: the
-    /// raw wire bytes are validated once (zero-copy), logged verbatim
-    /// as a single WAL record — no re-encode, the log *is* the wire —
-    /// and applied straight from the buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MalformedMessage`] for a frame
-    /// [`BatchUpload::decode`] would reject (nothing is logged or
-    /// applied), otherwise as
-    /// [`receive_sequenced`](Self::receive_sequenced).
-    pub fn receive_batch_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
+    /// Returns [`SimError::MalformedMessage`] for a bare upload (tags
+    /// 3/4) or a frame the validator rejects — nothing is logged or
+    /// applied — and [`SimError::Durability`] if the append, fsync, or
+    /// a due checkpoint fails, in which case the frame was **not**
+    /// applied (log first, apply second).
+    pub fn receive_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
         // Validate before logging: a malformed frame must never enter
         // the log, or replay would fail on it.
-        let batch = BatchUploadRef::decode_ref(wire)?;
+        let frame = UploadFrameRef::decode_sequenced_ref(wire)?;
         self.log_frame(wire)?;
-        let outcomes = self.inner.receive_batch_ref(&batch);
-        self.maybe_checkpoint()?;
-        Ok(outcomes)
-    }
-
-    /// [`ShardedServer::receive_parallel_threads`], write-ahead logged:
-    /// every frame is appended (in input order — the log's order is
-    /// deterministic at every thread count) and fsynced once before the
-    /// parallel apply, so the log never trails the in-memory state.
-    ///
-    /// # Errors
-    ///
-    /// As [`receive_sequenced`](Self::receive_sequenced).
-    ///
-    /// # Panics
-    ///
-    /// As the wrapped method (`threads == 0`, worker panic).
-    pub fn receive_parallel_threads(
-        &mut self,
-        uploads: Vec<SequencedUpload>,
-        threads: usize,
-    ) -> Result<Vec<ReceiveOutcome>, SimError> {
-        for sequenced in &uploads {
-            self.log_frame(&sequenced.encode())?;
-        }
-        let outcomes = self.inner.receive_parallel_threads(uploads, threads);
+        let outcomes = self.inner.apply(&frame);
         self.maybe_checkpoint()?;
         Ok(outcomes)
     }
@@ -563,38 +484,6 @@ impl DurableServer {
     }
 }
 
-/// The retrying upload path ([`crate::faults::upload_with_retry`])
-/// delivers through the infallible [`SequencedSink`] trait, so a WAL
-/// failure is *stashed* instead of propagated: once set, later frames
-/// are neither logged nor applied (a placeholder
-/// [`ReceiveOutcome::Stale`] stands in) until the driver collects it
-/// with [`ServerBackend::take_sink_error`] after the delivery session.
-impl SequencedSink for DurableServer {
-    fn ingest_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
-        if self.sink_error.is_some() {
-            return ReceiveOutcome::Stale;
-        }
-        self.receive_sequenced(sequenced).unwrap_or_else(|e| {
-            self.sink_error = Some(Box::new(e));
-            ReceiveOutcome::Stale
-        })
-    }
-
-    fn ingest_batch(&mut self, batch: BatchUpload) -> Vec<ReceiveOutcome> {
-        if self.sink_error.is_some() {
-            return Vec::new();
-        }
-        self.receive_batch(batch).unwrap_or_else(|e| {
-            self.sink_error = Some(Box::new(e));
-            Vec::new()
-        })
-    }
-
-    fn sink_obs(&self) -> &Obs {
-        self.obs()
-    }
-}
-
 impl ServerBackend for DurableServer {
     fn scheme(&self) -> &Scheme {
         self.inner.scheme()
@@ -620,15 +509,12 @@ impl ServerBackend for DurableServer {
         self.inner.estimate_or_degraded(a, b)
     }
 
-    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError> {
-        let count = frames.len();
-        let wire = BatchUpload::new(frames)?.encode();
-        self.receive_batch_wire(&wire)?;
-        Ok(count)
+    fn ingest_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
+        self.receive_wire(wire)
     }
 
-    fn take_sink_error(&mut self) -> Option<SimError> {
-        self.sink_error.take().map(|e| *e)
+    fn obs(&self) -> &Obs {
+        DurableServer::obs(self)
     }
 
     fn records_logged(&self) -> u64 {
@@ -645,7 +531,7 @@ mod tests {
     use super::*;
     use vcps_core::{BitArray, RsuId, Scheme};
 
-    use crate::protocol::PeriodUpload;
+    use crate::protocol::{BatchUpload, PeriodUpload, SequencedUpload};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -659,6 +545,13 @@ mod tests {
 
     fn scheme() -> Scheme {
         Scheme::variable(2, 3.0, 9).unwrap()
+    }
+
+    /// Ingests one sequenced upload through the wire entry point.
+    fn ingest(durable: &mut DurableServer, frame: &SequencedUpload) -> ReceiveOutcome {
+        let outcomes = durable.receive_wire(&frame.encode()).unwrap();
+        assert_eq!(outcomes.len(), 1);
+        outcomes[0]
     }
 
     fn sequenced(rsu: u64, seq: u64, ones: &[usize]) -> SequencedUpload {
@@ -704,10 +597,8 @@ mod tests {
             &obs,
         )
         .unwrap();
-        durable
-            .receive_sequenced(sequenced(1, 0, &[3, 77]))
-            .unwrap();
-        durable.receive_sequenced(sequenced(2, 0, &[9])).unwrap();
+        ingest(&mut durable, &sequenced(1, 0, &[3, 77]));
+        ingest(&mut durable, &sequenced(2, 0, &[9]));
         // Simulated crash: two acknowledged frames never hit disk.
         drop(durable);
         let snap = obs.snapshot();
@@ -726,9 +617,7 @@ mod tests {
             &obs2,
         )
         .unwrap();
-        durable
-            .receive_sequenced(sequenced(1, 0, &[3, 77]))
-            .unwrap();
+        ingest(&mut durable, &sequenced(1, 0, &[3, 77]));
         durable.flush_wal().unwrap();
         drop(durable);
         assert!(!obs2
@@ -766,7 +655,7 @@ mod tests {
         ];
         for f in &frames {
             let expected = reference.receive_sequenced(f.clone());
-            let got = durable.receive_sequenced(f.clone()).unwrap();
+            let got = ingest(&mut durable, f);
             assert_eq!(got, expected);
         }
         let logged = durable.records_logged();
@@ -789,10 +678,7 @@ mod tests {
         // And the recovered server keeps ingesting correctly.
         let mut recovered = recovered;
         let f = sequenced(3, 1, &[200]);
-        assert_eq!(
-            recovered.receive_sequenced(f.clone()).unwrap(),
-            reference.receive_sequenced(f)
-        );
+        assert_eq!(ingest(&mut recovered, &f), reference.receive_sequenced(f));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -806,7 +692,7 @@ mod tests {
         let mut reference = ShardedServer::new(scheme(), 1.0, 2).unwrap();
         for i in 0..4u64 {
             let f = sequenced(i + 1, 0, &[i as usize]);
-            durable.receive_sequenced(f.clone()).unwrap();
+            ingest(&mut durable, &f);
             if i < 3 {
                 reference.receive_sequenced(f);
             }
@@ -842,7 +728,7 @@ mod tests {
             &obs,
         )
         .unwrap();
-        durable.receive_sequenced(sequenced(1, 0, &[5])).unwrap();
+        ingest(&mut durable, &sequenced(1, 0, &[5]));
         drop(durable);
         assert!(matches!(
             DurableServer::recover(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs),
@@ -867,57 +753,9 @@ mod tests {
         std::fs::remove_dir_all(dir.parent().unwrap()).unwrap();
     }
 
-    #[test]
-    fn batch_frames_log_as_one_record_and_replay() {
-        let dir = temp_dir("batch");
-        let obs = Obs::disabled();
-        let mut durable =
-            DurableServer::create(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
-                .unwrap();
-        let mut reference = ShardedServer::new(scheme(), 1.0, 2).unwrap();
-        let batch =
-            BatchUpload::new(vec![sequenced(1, 0, &[5]), sequenced(2, 0, &[6, 7])]).unwrap();
-        let expected = reference.receive_batch(batch.clone());
-        assert_eq!(durable.receive_batch(batch).unwrap(), expected);
-        assert_eq!(durable.records_logged(), 1, "one record per batch");
-        drop(durable);
-        let (recovered, report) =
-            DurableServer::recover(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
-                .unwrap();
-        assert_eq!(report.replayed_records, 1);
-        assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn parallel_ingest_logs_in_input_order() {
-        let dir = temp_dir("parallel");
-        let obs = Obs::disabled();
-        let mut durable =
-            DurableServer::create(scheme(), 1.0, 4, &dir, DurableOptions::log_only(), &obs)
-                .unwrap();
-        let mut reference = ShardedServer::new(scheme(), 1.0, 4).unwrap();
-        let uploads: Vec<SequencedUpload> =
-            (1..=8u64).map(|r| sequenced(r, 0, &[r as usize])).collect();
-        let expected = reference.receive_parallel_threads(uploads.clone(), 1);
-        assert_eq!(
-            durable
-                .receive_parallel_threads(uploads.clone(), 4)
-                .unwrap(),
-            expected
-        );
-        drop(durable);
-        let (recovered, report) =
-            DurableServer::recover(scheme(), 1.0, 4, &dir, DurableOptions::log_only(), &obs)
-                .unwrap();
-        assert_eq!(report.replayed_records, 8);
-        assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The wire batch path logs the raw wire bytes as one record —
-    /// byte-identical to the frame that arrived — and replays to the
-    /// same state as the owned path.
+    /// A batch frame is logged as one record holding the wire bytes
+    /// verbatim — no re-encode drift — and replays to the state a plain
+    /// server reaches from the same frame.
     #[test]
     fn batch_wire_logs_raw_bytes_and_replays() {
         let dir = temp_dir("batch-wire");
@@ -929,14 +767,14 @@ mod tests {
         let batch =
             BatchUpload::new(vec![sequenced(1, 0, &[5]), sequenced(2, 0, &[6, 7])]).unwrap();
         let wire = batch.encode();
-        let expected = reference.receive_batch(batch);
-        assert_eq!(durable.receive_batch_wire(&wire).unwrap(), expected);
+        let expected = reference.receive_wire(&wire).unwrap();
+        assert_eq!(durable.receive_wire(&wire).unwrap(), expected);
         assert_eq!(durable.records_logged(), 1, "one record per batch");
         // The log holds the wire bytes verbatim — no re-encode drift.
         let logged = read_wal(durable.wal_path()).unwrap();
         assert_eq!(logged.records, vec![wire.to_vec()]);
         // A malformed wire is rejected without logging anything.
-        assert!(durable.receive_batch_wire(&wire[..wire.len() - 1]).is_err());
+        assert!(durable.receive_wire(&wire[..wire.len() - 1]).is_err());
         assert_eq!(durable.records_logged(), 1);
         drop(durable);
         let (recovered, report) =
@@ -944,6 +782,27 @@ mod tests {
                 .unwrap();
         assert_eq!(report.replayed_records, 1);
         assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Bare uploads carry no sequence number, so a re-delivery could not
+    /// dedup on replay: they are refused before anything is logged.
+    #[test]
+    fn bare_uploads_are_refused_unlogged() {
+        let dir = temp_dir("bare");
+        let obs = Obs::disabled();
+        let mut durable =
+            DurableServer::create(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
+                .unwrap();
+        let bare = sequenced(1, 0, &[5]).upload;
+        for wire in [bare.encode(), bare.encode_compact()] {
+            assert!(matches!(
+                durable.receive_wire(&wire),
+                Err(SimError::MalformedMessage { .. })
+            ));
+        }
+        assert_eq!(durable.records_logged(), 0);
+        assert_eq!(durable.server().upload_count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -979,7 +838,7 @@ mod tests {
         let frames: Vec<SequencedUpload> =
             (1..=8u64).map(|r| sequenced(r, 0, &[r as usize])).collect();
         for f in &frames {
-            durable.receive_sequenced(f.clone()).unwrap();
+            ingest(&mut durable, f);
         }
         drop(durable); // crash: buffered tail gone
         let (recovered, report) =
@@ -998,7 +857,7 @@ mod tests {
         let mut durable = DurableServer::create(scheme(), 1.0, 2, &dir2, options, &obs).unwrap();
         let mut reference = ShardedServer::new(scheme(), 1.0, 2).unwrap();
         for f in &frames {
-            durable.receive_sequenced(f.clone()).unwrap();
+            ingest(&mut durable, f);
             reference.receive_sequenced(f.clone());
         }
         durable.flush_wal().unwrap();
@@ -1023,7 +882,7 @@ mod tests {
         let mut durable = DurableServer::create(scheme(), 1.0, 2, &dir, options, &obs).unwrap();
         let mut reference = ShardedServer::new(scheme(), 1.0, 2).unwrap();
         for f in [sequenced(1, 0, &[5]), sequenced(2, 0, &[6])] {
-            durable.receive_sequenced(f.clone()).unwrap();
+            ingest(&mut durable, &f);
             reference.receive_sequenced(f);
         }
         durable.finish_period().unwrap();
@@ -1046,7 +905,7 @@ mod tests {
                 .unwrap();
         let mut reference = ShardedServer::new(scheme(), 1.0, 2).unwrap();
         for f in [sequenced(1, 0, &[5]), sequenced(2, 0, &[6])] {
-            durable.receive_sequenced(f.clone()).unwrap();
+            ingest(&mut durable, &f);
             reference.receive_sequenced(f);
         }
         durable.finish_period().unwrap();

@@ -21,17 +21,17 @@ use rand::{RngExt, SeedableRng};
 use vcps_core::estimator::Estimate;
 use vcps_core::{CoreError, PairEstimate, RsuId, Scheme, VehicleIdentity};
 use vcps_hash::splitmix64;
-use vcps_obs::Phase;
+use vcps_obs::{Obs, Phase};
 use vcps_roadnet::{RoadNetwork, VehicleTrip};
 
 use crate::concurrent::{self, SharedRsu};
 use crate::durable::RecoveryReport;
-use crate::faults::{self, Channel, FaultPlan, RetryPolicy, SequencedSink, ServerCrash};
+use crate::faults::{self, Channel, FaultPlan, RetryPolicy, ServerCrash};
 use crate::metrics::FaultMetrics;
 use crate::metro::SlidingWindow;
 use crate::pki::TrustedAuthority;
-use crate::protocol::{BatchUpload, BitReport, Query, SequencedUpload};
-use crate::{CentralServer, OdMatrix, ShardedServer, SimError, SimVehicle};
+use crate::protocol::{BatchUpload, BitReport, Query, SequencedUpload, UploadFrameRef};
+use crate::{CentralServer, OdMatrix, ReceiveOutcome, ShardedServer, SimError, SimVehicle};
 
 /// One vehicle reaching one RSU site.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,15 +166,31 @@ impl Default for PeriodSettings {
 /// [`CentralServer`], the hash-partitioned [`ShardedServer`], or the
 /// write-ahead-logged [`DurableServer`](crate::DurableServer).
 ///
-/// Lossy-channel periods deliver through the shared [`SequencedSink`]
-/// retry path; ideal-channel periods go through the backend's native
-/// bulk path ([`ingest_ideal`](Self::ingest_ideal)). Everything that
-/// feeds the backend — authority, sizes, departures, identities,
+/// Uploads reach every backend the same way, as wire frames through
+/// [`ingest_wire`](Self::ingest_wire): an ideal-channel period sends its
+/// one [`BatchUpload`] frame, a lossy one hands in each delivered copy
+/// of every retried frame ([`faults::upload_with_retry`]). Everything
+/// that feeds the backend — authority, sizes, departures, identities,
 /// frames, sequence numbers, channel keys — is derived by the loop, not
 /// the backend, so the shapes are bit-identical by construction.
-pub trait ServerBackend: SequencedSink + Sized {
+pub trait ServerBackend: Sized {
     /// The scheme vehicles answer under and the server decodes with.
     fn scheme(&self) -> &Scheme;
+
+    /// The observability handle the run loop and the retry path record
+    /// through.
+    fn obs(&self) -> &Obs;
+
+    /// Validates one sequenced upload frame (tag 5 or 6, see
+    /// [`UploadFrameRef::decode_sequenced_ref`]) and ingests it,
+    /// returning one outcome per inner upload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::MalformedMessage`] for a frame the validator
+    /// rejects (nothing is ingested) and, for the durable backend,
+    /// [`SimError::Durability`] when the log fails.
+    fn ingest_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError>;
 
     /// Seeds one RSU's volume history before the first period.
     fn seed(&mut self, rsu: RsuId, average: f64);
@@ -210,22 +226,6 @@ pub trait ServerBackend: SequencedSink + Sized {
     ///
     /// As [`CentralServer::estimate_or_degraded`].
     fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError>;
-
-    /// Ingests one ideal-channel period's uploads, returning how many
-    /// frames were delivered. The monolith takes them frame by frame;
-    /// the sharded and durable servers take one [`BatchUpload`] wire
-    /// frame through the zero-copy batch ingest.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol (and durability) failures.
-    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError>;
-
-    /// Takes the failure the infallible [`SequencedSink`] path stashed,
-    /// if any. Only the durable backend's log can fail there.
-    fn take_sink_error(&mut self) -> Option<SimError> {
-        None
-    }
 
     /// WAL records appended so far; `0` for backends without a log.
     fn records_logged(&self) -> u64 {
@@ -273,12 +273,12 @@ impl ServerBackend for CentralServer {
         CentralServer::estimate_or_degraded(self, a, b)
     }
 
-    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError> {
-        let count = frames.len();
-        for frame in frames {
-            self.receive_sequenced(frame);
-        }
-        Ok(count)
+    fn obs(&self) -> &Obs {
+        CentralServer::obs(self)
+    }
+
+    fn ingest_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
+        Ok(self.apply(&UploadFrameRef::decode_sequenced_ref(wire)?))
     }
 }
 
@@ -307,11 +307,12 @@ impl ServerBackend for ShardedServer {
         ShardedServer::estimate_or_degraded(self, a, b)
     }
 
-    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError> {
-        let count = frames.len();
-        let wire = BatchUpload::new(frames)?.encode();
-        self.receive_batch_wire(&wire)?;
-        Ok(count)
+    fn obs(&self) -> &Obs {
+        ShardedServer::obs(self)
+    }
+
+    fn ingest_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
+        Ok(self.apply(&UploadFrameRef::decode_sequenced_ref(wire)?))
     }
 }
 
@@ -434,7 +435,7 @@ impl PeriodRun {
     /// sized from `initial_history` (also seeded into the server); every
     /// later period from the server's history after closing the previous
     /// one. The loop records through the backend's observability handle
-    /// ([`SequencedSink::sink_obs`]): the exchange phase as
+    /// ([`ServerBackend::obs`]): the exchange phase as
     /// [`Phase::Encode`], ideal ingestion as [`Phase::Receive`], fault
     /// counters as `faults.*`. Recording never influences control flow.
     ///
@@ -477,7 +478,7 @@ impl PeriodRun {
             }
             None => None,
         };
-        let obs = server.sink_obs().clone();
+        let obs = server.obs().clone();
         let scheme = server.scheme().clone();
         for (node, &avg) in initial_history.iter().enumerate() {
             server.seed(RsuId(node as u64), avg);
@@ -563,10 +564,7 @@ impl PeriodRun {
                             &mut server,
                             policy,
                             &mut faults,
-                        );
-                        if let Some(e) = server.take_sink_error() {
-                            return Err(e);
-                        }
+                        )?;
                         if delivery.delivered {
                             uploads_delivered += 1;
                         } else {
@@ -588,8 +586,9 @@ impl PeriodRun {
                         })
                         .collect();
                     let _receive = obs.phase(Phase::Receive);
+                    let wire = BatchUpload::new(frames)?.encode();
                     server = crash.boundary(server, p, false)?;
-                    uploads_delivered += server.ingest_ideal(frames)?;
+                    uploads_delivered += server.ingest_wire(&wire)?.len();
                     server = crash.boundary(server, p, last)?;
                 }
             }

@@ -1,12 +1,13 @@
 //! Fault injection for the query → report → upload pipeline.
 //!
-//! The paper assumes a clean lab channel: every [`BitReport`] reaches its
-//! RSU, every [`PeriodUpload`](crate::PeriodUpload) reaches the server,
-//! and every RSU survives the period. Real DSRC links drop, duplicate,
-//! delay, and corrupt frames, and road-side hardware crashes. This module
-//! makes all of that injectable — **deterministically** — so the
-//! estimator's degradation under loss can be measured instead of guessed
-//! (see the `robustness` experiment binary).
+//! The paper assumes a clean lab channel: every
+//! [`BitReport`](crate::BitReport) reaches its RSU, every
+//! [`PeriodUpload`] reaches the server, and every RSU survives the
+//! period. Real DSRC links drop, duplicate, delay, and corrupt frames,
+//! and road-side hardware crashes. This module makes all of that
+//! injectable — **deterministically** — so the estimator's degradation
+//! under loss can be measured instead of guessed (see the `robustness`
+//! experiment binary).
 //!
 //! # Determinism
 //!
@@ -44,11 +45,12 @@ use serde::{Deserialize, Serialize};
 
 use vcps_hash::{splitmix64, SplitMix64};
 
+use crate::engine::ServerBackend;
 use crate::metrics::{FaultMetrics, LinkMetrics};
 use crate::pki::Certificate;
 use crate::protocol::{BatchUpload, PeriodUpload, SequencedUpload};
 use crate::server::ReceiveOutcome;
-use crate::{CentralServer, SimError, SimRsu};
+use crate::{SimError, SimRsu};
 
 use vcps_bitarray::BitArray;
 use vcps_core::{CoreError, RsuId, RsuSketch};
@@ -579,58 +581,6 @@ pub struct UploadDelivery {
     pub attempts: u32,
 }
 
-/// Anything the retrying upload path can deliver into: the monolithic
-/// [`CentralServer`] and the sharded [`crate::ShardedServer`] both
-/// implement it, so [`upload_with_retry`] and [`batch_upload_with_retry`]
-/// run the *identical* frame/key/ack sequence against either — the
-/// foundation of the sharded-vs-monolithic fault equivalence the
-/// differential suite verifies.
-pub trait SequencedSink {
-    /// Ingests one sequence-numbered upload, classifying it against the
-    /// sink's held state (see [`CentralServer::receive_sequenced`]).
-    fn ingest_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome;
-
-    /// Ingests every frame of a decoded batch, in frame order. The
-    /// default just loops [`ingest_sequenced`](Self::ingest_sequenced);
-    /// sinks with a native batch path (the sharded server's
-    /// `receive_batch`, which also fires `batch.*` counters) override.
-    fn ingest_batch(&mut self, batch: BatchUpload) -> Vec<ReceiveOutcome> {
-        batch
-            .into_frames()
-            .into_iter()
-            .map(|f| self.ingest_sequenced(f))
-            .collect()
-    }
-
-    /// The sink's observability handle — retry counters and the backoff
-    /// histogram are recorded through it.
-    fn sink_obs(&self) -> &vcps_obs::Obs;
-}
-
-impl SequencedSink for CentralServer {
-    fn ingest_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
-        self.receive_sequenced(sequenced)
-    }
-
-    fn sink_obs(&self) -> &vcps_obs::Obs {
-        self.obs()
-    }
-}
-
-impl SequencedSink for crate::ShardedServer {
-    fn ingest_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
-        self.receive_sequenced(sequenced)
-    }
-
-    fn ingest_batch(&mut self, batch: BatchUpload) -> Vec<ReceiveOutcome> {
-        self.receive_batch(batch)
-    }
-
-    fn sink_obs(&self) -> &vcps_obs::Obs {
-        self.obs()
-    }
-}
-
 /// Tallies one dedup outcome from a delivered (re-)send into the fault
 /// counters — shared by the single-frame and batch retry paths.
 fn note_ingest_outcome(outcome: ReceiveOutcome, metrics: &mut FaultMetrics) {
@@ -643,34 +593,85 @@ fn note_ingest_outcome(outcome: ReceiveOutcome, metrics: &mut FaultMetrics) {
 }
 
 /// Drives one RSU's end-of-period upload through a lossy channel with
-/// stop-and-wait retries: encode a [`SequencedUpload`], transmit, let the
-/// server ingest every surviving copy, and stop on the first surviving
-/// ack or when the retry budget runs out.
+/// stop-and-wait retries: encode a [`SequencedUpload`], transmit, hand
+/// every surviving copy's bytes to the server's
+/// [`ServerBackend::ingest_wire`], and stop on the first surviving ack
+/// or when the retry budget runs out.
 ///
 /// Fault counters (attempts, retries, lost acks, dedup outcomes,
 /// simulated backoff) accumulate into `metrics`; if the server carries
-/// an enabled observability handle ([`CentralServer::set_obs`]), the
+/// an enabled observability handle ([`crate::CentralServer::set_obs`]), the
 /// retry/backoff phase is additionally profiled through it (attempt and
 /// retry counters, per-wait backoff histogram in microseconds).
 ///
-/// Generic over the [`SequencedSink`]: delivering into a sharded server
-/// replays byte-for-byte the frames, channel keys, and ack decisions of
-/// the monolithic run, so fault outcomes cannot diverge between the two.
-pub fn upload_with_retry<S: SequencedSink + ?Sized>(
+/// Generic over the [`ServerBackend`]: every backend sees byte-for-byte
+/// the same frames, channel keys, and ack decisions, so fault outcomes
+/// cannot diverge between them.
+///
+/// # Errors
+///
+/// A copy the server rejects as [`SimError::MalformedMessage`] was
+/// corrupted in transit: it is dropped without an ack. Any other
+/// ingest failure (a WAL write) propagates.
+pub fn upload_with_retry<S: ServerBackend>(
     upload: &PeriodUpload,
     seq: u64,
     channel: &Channel,
     server: &mut S,
     policy: &RetryPolicy,
     metrics: &mut FaultMetrics,
-) -> UploadDelivery {
-    let obs = server.sink_obs().clone();
-    let _timer = obs.phase(vcps_obs::Phase::Retry);
+) -> Result<UploadDelivery, SimError> {
     let frame = SequencedUpload {
         seq,
         upload: upload.clone(),
     }
     .encode();
+    let key = upload.rsu.0 ^ seq.rotate_left(24);
+    deliver_with_retry(&frame, key, channel, server, policy, metrics)
+}
+
+/// [`upload_with_retry`] for a whole [`BatchUpload`]: one wire frame
+/// carries every RSU's sequenced upload for the period, the channel's
+/// faults (drop / truncate / bit-flip / duplicate) hit the batch as a
+/// unit, and a surviving ack acknowledges all of it at once.
+///
+/// The per-attempt channel key folds every inner frame's identity
+/// (`rsu ^ rotl(seq, 24)` XOR-combined) so distinct batches draw
+/// independent fault decisions, exactly as distinct single uploads do. A
+/// delivered copy that no longer validates as a batch — a truncation or
+/// bit-flip caught by the length prefix, per-record checksums, or
+/// ordering invariant — is silently discarded without an ack, like a
+/// corrupted single frame.
+///
+/// # Errors
+///
+/// As [`upload_with_retry`].
+pub fn batch_upload_with_retry<S: ServerBackend>(
+    batch: &BatchUpload,
+    channel: &Channel,
+    server: &mut S,
+    policy: &RetryPolicy,
+    metrics: &mut FaultMetrics,
+) -> Result<UploadDelivery, SimError> {
+    let key = batch
+        .frames()
+        .iter()
+        .fold(0u64, |acc, f| acc ^ f.upload.rsu.0 ^ f.seq.rotate_left(24));
+    deliver_with_retry(&batch.encode(), key, channel, server, policy, metrics)
+}
+
+/// The stop-and-wait loop both retry paths share: attempt `k` transmits
+/// `frame` under channel key `key ^ (k << 48)`.
+fn deliver_with_retry<S: ServerBackend>(
+    frame: &[u8],
+    key: u64,
+    channel: &Channel,
+    server: &mut S,
+    policy: &RetryPolicy,
+    metrics: &mut FaultMetrics,
+) -> Result<UploadDelivery, SimError> {
+    let obs = server.obs().clone();
+    let _timer = obs.phase(vcps_obs::Phase::Retry);
     let max_attempts = policy.max_attempts.max(1);
     for attempt in 0..max_attempts {
         metrics.upload_attempts += 1;
@@ -682,17 +683,22 @@ pub fn upload_with_retry<S: SequencedSink + ?Sized>(
             obs.inc("retry.retries");
             obs.observe("retry.backoff_us", (backoff * 1e6).round() as u64);
         }
-        let key = upload.rsu.0 ^ seq.rotate_left(24) ^ (u64::from(attempt) << 48);
-        let tx = channel.transmit(&frame, key);
+        let key = key ^ (u64::from(attempt) << 48);
+        let tx = channel.transmit(frame, key);
         tx.record(&mut metrics.upload_link);
         let mut acked = false;
         for copy in &tx.delivered {
-            // A corrupted frame that no longer parses is silently gone —
-            // the sender only learns via the missing ack.
-            let Ok(sequenced) = SequencedUpload::decode(copy) else {
-                continue;
-            };
-            note_ingest_outcome(server.ingest_sequenced(sequenced), metrics);
+            match server.ingest_wire(copy) {
+                Ok(outcomes) => {
+                    for outcome in outcomes {
+                        note_ingest_outcome(outcome, metrics);
+                    }
+                }
+                // A corrupted copy that no longer validates is silently
+                // gone — the sender only learns via the missing ack.
+                Err(SimError::MalformedMessage { .. }) => continue,
+                Err(e) => return Err(e),
+            }
             // The server acks everything it processed (including
             // duplicates — idempotent ack); the ack rides the same lossy
             // link back.
@@ -704,88 +710,18 @@ pub fn upload_with_retry<S: SequencedSink + ?Sized>(
         }
         if acked {
             obs.inc("retry.delivered");
-            return UploadDelivery {
+            return Ok(UploadDelivery {
                 delivered: true,
                 attempts: attempt + 1,
-            };
+            });
         }
     }
     metrics.uploads_abandoned += 1;
     obs.inc("retry.abandoned");
-    UploadDelivery {
+    Ok(UploadDelivery {
         delivered: false,
         attempts: max_attempts,
-    }
-}
-
-/// [`upload_with_retry`] for a whole [`BatchUpload`]: one wire frame
-/// carries every RSU's sequenced upload for the period, the channel's
-/// faults (drop / truncate / bit-flip / duplicate) hit the batch as a
-/// unit, and a surviving ack acknowledges all of it at once.
-///
-/// The per-attempt channel key folds every inner frame's identity
-/// (`rsu ^ rotl(seq, 24)` XOR-combined) so distinct batches draw
-/// independent fault decisions, exactly as distinct single uploads do. A
-/// delivered copy that no longer decodes as a [`BatchUpload`] — a
-/// truncation or bit-flip caught by the length prefix, per-record
-/// checksums, or ordering invariant — is silently discarded without an
-/// ack, like a corrupted single frame.
-pub fn batch_upload_with_retry<S: SequencedSink + ?Sized>(
-    batch: &BatchUpload,
-    channel: &Channel,
-    server: &mut S,
-    policy: &RetryPolicy,
-    metrics: &mut FaultMetrics,
-) -> UploadDelivery {
-    let obs = server.sink_obs().clone();
-    let _timer = obs.phase(vcps_obs::Phase::Retry);
-    let frame = batch.encode();
-    let batch_key = batch
-        .frames()
-        .iter()
-        .fold(0u64, |acc, f| acc ^ f.upload.rsu.0 ^ f.seq.rotate_left(24));
-    let max_attempts = policy.max_attempts.max(1);
-    for attempt in 0..max_attempts {
-        metrics.upload_attempts += 1;
-        obs.inc("retry.attempts");
-        if attempt > 0 {
-            metrics.upload_retries += 1;
-            let backoff = policy.backoff_before(attempt);
-            metrics.backoff_seconds += backoff;
-            obs.inc("retry.retries");
-            obs.observe("retry.backoff_us", (backoff * 1e6).round() as u64);
-        }
-        let key = batch_key ^ (u64::from(attempt) << 48);
-        let tx = channel.transmit(&frame, key);
-        tx.record(&mut metrics.upload_link);
-        let mut acked = false;
-        for copy in &tx.delivered {
-            let Ok(decoded) = BatchUpload::decode(copy) else {
-                continue;
-            };
-            for outcome in server.ingest_batch(decoded) {
-                note_ingest_outcome(outcome, metrics);
-            }
-            if channel.ack_lost(key) {
-                metrics.acks_lost += 1;
-            } else {
-                acked = true;
-            }
-        }
-        if acked {
-            obs.inc("retry.delivered");
-            return UploadDelivery {
-                delivered: true,
-                attempts: attempt + 1,
-            };
-        }
-    }
-    metrics.uploads_abandoned += 1;
-    obs.inc("retry.abandoned");
-    UploadDelivery {
-        delivered: false,
-        attempts: max_attempts,
-    }
+    })
 }
 
 /// A serialized RSU state snapshot — what a crash-tolerant RSU persists
@@ -861,7 +797,7 @@ mod tests {
     use super::*;
     use crate::pki::TrustedAuthority;
     use crate::protocol::BitReport;
-    use crate::MacAddress;
+    use crate::{CentralServer, MacAddress};
     use vcps_core::Scheme;
 
     fn report_frame() -> Vec<u8> {
@@ -1105,7 +1041,8 @@ mod tests {
             max_attempts: 16,
             ..RetryPolicy::default()
         };
-        let outcome = upload_with_retry(&upload, 0, &ch, &mut server, &policy, &mut metrics);
+        let outcome =
+            upload_with_retry(&upload, 0, &ch, &mut server, &policy, &mut metrics).unwrap();
         assert!(outcome.delivered, "16 attempts at 50% loss must land");
         assert_eq!(server.upload_count(), 1);
         assert_eq!(metrics.upload_attempts, u64::from(outcome.attempts));
@@ -1130,7 +1067,8 @@ mod tests {
             &mut server,
             &RetryPolicy::default(),
             &mut metrics,
-        );
+        )
+        .unwrap();
         assert!(!outcome.delivered);
         assert_eq!(outcome.attempts, 6);
         assert_eq!(metrics.uploads_abandoned, 1);
@@ -1175,7 +1113,8 @@ mod tests {
                     ..RetryPolicy::default()
                 },
                 &mut metrics,
-            );
+            )
+            .unwrap();
             if outcome.delivered && metrics.acks_lost > 0 {
                 assert_eq!(srv.upload_count(), 1, "dedup kept a single upload");
                 return;
@@ -1217,7 +1156,8 @@ mod tests {
             &mut mono,
             &RetryPolicy::default(),
             &mut metrics,
-        );
+        )
+        .unwrap();
         assert!(outcome.delivered);
         assert_eq!(outcome.attempts, 1);
         assert_eq!(mono.upload_count(), 12);
@@ -1230,7 +1170,8 @@ mod tests {
             &mut sharded,
             &RetryPolicy::default(),
             &mut metrics2,
-        );
+        )
+        .unwrap();
         assert_eq!(outcome2, outcome);
         assert_eq!(sharded.upload_count(), 12);
         for r in 0..12u64 {
@@ -1250,7 +1191,8 @@ mod tests {
         let mut mono = CentralServer::new(scheme.clone(), 0.5).unwrap();
         let mut m1 = FaultMetrics::new();
         let o1 =
-            batch_upload_with_retry(&batch, &plan.upload_channel(0), &mut mono, &policy, &mut m1);
+            batch_upload_with_retry(&batch, &plan.upload_channel(0), &mut mono, &policy, &mut m1)
+                .unwrap();
         let mut sharded = crate::ShardedServer::new(scheme, 0.5, 4).unwrap();
         let mut m2 = FaultMetrics::new();
         let o2 = batch_upload_with_retry(
@@ -1259,7 +1201,8 @@ mod tests {
             &mut sharded,
             &policy,
             &mut m2,
-        );
+        )
+        .unwrap();
         assert!(o1.delivered, "16 attempts at 50% loss must land");
         assert_eq!(o1, o2, "identical frames and keys, identical session");
         assert_eq!(m1, m2);
@@ -1286,7 +1229,8 @@ mod tests {
             &mut server,
             &RetryPolicy::default(),
             &mut metrics,
-        );
+        )
+        .unwrap();
         assert!(!outcome.delivered);
         assert_eq!(server.upload_count(), 0, "no corrupted copy was accepted");
         assert_eq!(metrics.uploads_abandoned, 1);
@@ -1306,7 +1250,8 @@ mod tests {
             &mut server,
             &RetryPolicy::default(),
             &mut metrics,
-        );
+        )
+        .unwrap();
         assert!(!outcome.delivered);
         assert_eq!(server.upload_count(), 0);
     }

@@ -74,7 +74,7 @@ pub use engine::{PeriodRun, PeriodSettings, RunOutcome, ServerBackend};
 pub use error::SimError;
 pub use faults::{
     batch_upload_with_retry, upload_with_retry, Channel, CrashMode, FaultPlan, LinkFaults,
-    RetryPolicy, RsuCheckpoint, RsuCrash, SequencedSink, ServerCrash,
+    RetryPolicy, RsuCheckpoint, RsuCrash, ServerCrash,
 };
 pub use mac::MacAddress;
 pub use metrics::{CommunicationMetrics, FaultMetrics, LinkMetrics};
@@ -84,7 +84,7 @@ pub use metro::{
 };
 pub use protocol::{
     BatchUpload, BatchUploadRef, BitReport, CheckpointSet, PeriodUpload, PeriodUploadRef, Query,
-    SequencedUpload, SequencedUploadRef, ServerCheckpoint,
+    SequencedUpload, SequencedUploadRef, ServerCheckpoint, UploadFrameRef,
 };
 pub use rsu::SimRsu;
 pub use runner::{PairOutcome, PairRunner};

@@ -984,6 +984,65 @@ impl<'a> Iterator for BatchFrames<'a> {
 
 impl ExactSizeIterator for BatchFrames<'_> {}
 
+/// Any server-bound upload frame, validated once by the validator its
+/// tag selects: a bare [`PeriodUploadRef`] (tags 3/4), a
+/// [`SequencedUploadRef`] (tag 5) or a [`BatchUploadRef`] (tag 6). This
+/// is the only place upload tags are dispatched; every server ingests
+/// through it (DESIGN.md §18).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UploadFrameRef<'a> {
+    /// A bare upload with no sequence number.
+    Plain(PeriodUploadRef<'a>),
+    /// One sequence-numbered upload.
+    Sequenced(SequencedUploadRef<'a>),
+    /// A batch of sequence-numbered uploads.
+    Batch(BatchUploadRef<'a>),
+}
+
+impl<'a> UploadFrameRef<'a> {
+    /// `true` when `tag` is one of the four upload tags (3–6).
+    #[must_use]
+    pub fn is_upload_tag(tag: u8) -> bool {
+        (TAG_UPLOAD..=TAG_BATCH).contains(&tag)
+    }
+
+    /// Parses any upload frame into a borrowed view.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::MalformedMessage`] for a non-upload tag or
+    /// whatever the selected validator rejects.
+    pub fn decode_ref(wire: &'a [u8]) -> Result<Self, SimError> {
+        match wire.first() {
+            Some(&(TAG_UPLOAD | TAG_UPLOAD_SPARSE)) => {
+                PeriodUploadRef::decode_ref(wire).map(Self::Plain)
+            }
+            Some(&TAG_UPLOAD_SEQ) => SequencedUploadRef::decode_ref(wire).map(Self::Sequenced),
+            Some(&TAG_BATCH) => BatchUploadRef::decode_ref(wire).map(Self::Batch),
+            _ => Err(SimError::MalformedMessage {
+                reason: "not an upload frame",
+            }),
+        }
+    }
+
+    /// [`decode_ref`](Self::decode_ref) restricted to the sequenced
+    /// frames (tags 5/6) — the only ones whose re-delivery dedups, so
+    /// the only ones a write-ahead log can replay idempotently.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_ref`](Self::decode_ref), plus
+    /// [`SimError::MalformedMessage`] for a bare upload.
+    pub fn decode_sequenced_ref(wire: &'a [u8]) -> Result<Self, SimError> {
+        match Self::decode_ref(wire)? {
+            Self::Plain(_) => Err(SimError::MalformedMessage {
+                reason: "sequenced upload required (tags 5 or 6)",
+            }),
+            frame => Ok(frame),
+        }
+    }
+}
+
 /// A serialized snapshot of one [`crate::CentralServer`]'s durable
 /// state (wire tag 7): the history smoothing factor, per-RSU historical
 /// averages, per-RSU accepted sequence numbers, and the accumulated

@@ -207,8 +207,7 @@ impl PairRunner {
                 let mut server =
                     CentralServer::new(self.scheme.clone(), 1.0)?.with_obs(self.obs.clone());
                 for upload in &uploads {
-                    let wire = upload.encode_compact();
-                    server.receive(PeriodUpload::decode(&wire)?);
+                    server.receive_wire(&upload.encode_compact())?;
                 }
                 server.estimate_or_clamp(self.rsu_a, self.rsu_b)?
             }
@@ -222,8 +221,7 @@ impl PairRunner {
                         upload: upload.clone(),
                     })
                     .collect();
-                let wire = BatchUpload::new(frames)?.encode();
-                let _ = server.receive_batch(BatchUpload::decode(&wire)?);
+                server.receive_wire(&BatchUpload::new(frames)?.encode())?;
                 server.estimate_or_clamp(self.rsu_a, self.rsu_b)?
             }
         };

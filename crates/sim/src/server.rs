@@ -14,7 +14,9 @@ use vcps_core::estimator::{
 use vcps_core::{CoreError, DegradedEstimate, PairEstimate, RsuId, Scheme, VolumeHistory};
 use vcps_obs::{Level, Obs, Phase, Value};
 
-use crate::protocol::{PeriodUpload, SequencedUpload, SequencedUploadRef, ServerCheckpoint};
+use crate::protocol::{
+    PeriodUpload, SequencedUpload, SequencedUploadRef, ServerCheckpoint, UploadFrameRef,
+};
 use crate::SimError;
 
 thread_local! {
@@ -637,28 +639,8 @@ impl CentralServer {
     /// straggler of an already-closed period ([`ReceiveOutcome::Stale`])
     /// — the latter must not resurrect as the *current* period's data.
     pub fn receive_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
-        let rsu = sequenced.upload.rsu;
-        let outcome = match self.upload_seqs.get(&rsu).copied() {
-            Some(seen) if sequenced.seq < seen => ReceiveOutcome::Stale,
-            Some(seen) if sequenced.seq == seen => match self.uploads.get(&rsu) {
-                // Same sequence but the period already closed: the upload
-                // was folded into history, so a re-send carries nothing.
-                None => ReceiveOutcome::Stale,
-                Some(prev) if *prev == sequenced.upload => ReceiveOutcome::Duplicate,
-                Some(_) => {
-                    self.uploads.insert(rsu, sequenced.upload);
-                    self.refresh_caches_for(rsu);
-                    ReceiveOutcome::Conflicting
-                }
-            },
-            _ => {
-                self.upload_seqs.insert(rsu, sequenced.seq);
-                self.uploads.insert(rsu, sequenced.upload);
-                self.refresh_caches_for(rsu);
-                ReceiveOutcome::Fresh
-            }
-        };
-        self.note_receive(outcome)
+        let SequencedUpload { seq, upload } = sequenced;
+        self.receive_sequenced_with(upload.rsu, seq, upload, |u, prev| u == prev, |u| u)
     }
 
     /// [`receive_sequenced`](Self::receive_sequenced) over a borrowed
@@ -672,28 +654,70 @@ impl CentralServer {
     /// fresh or conflicting frame pays
     /// [`crate::protocol::PeriodUploadRef::to_owned_upload`].
     pub fn receive_sequenced_ref(&mut self, frame: &SequencedUploadRef<'_>) -> ReceiveOutcome {
-        let rsu = frame.upload().rsu();
+        self.receive_sequenced_with(
+            frame.upload().rsu(),
+            frame.seq(),
+            frame.upload(),
+            |u, prev| u.matches(prev),
+            |u| u.to_owned_upload(),
+        )
+    }
+
+    /// The one Stale/Duplicate/Conflicting/Fresh ladder behind both
+    /// sequenced receives: `same` compares the frame's upload with the
+    /// one held, `own` materializes it — called only when the upload is
+    /// actually retained.
+    fn receive_sequenced_with<U>(
+        &mut self,
+        rsu: RsuId,
+        seq: u64,
+        upload: U,
+        same: impl FnOnce(&U, &PeriodUpload) -> bool,
+        own: impl FnOnce(U) -> PeriodUpload,
+    ) -> ReceiveOutcome {
         let outcome = match self.upload_seqs.get(&rsu).copied() {
-            Some(seen) if frame.seq() < seen => ReceiveOutcome::Stale,
-            Some(seen) if frame.seq() == seen => match self.uploads.get(&rsu) {
+            Some(seen) if seq < seen => ReceiveOutcome::Stale,
+            Some(seen) if seq == seen => match self.uploads.get(&rsu) {
                 // Same sequence but the period already closed: the upload
                 // was folded into history, so a re-send carries nothing.
                 None => ReceiveOutcome::Stale,
-                Some(prev) if frame.upload().matches(prev) => ReceiveOutcome::Duplicate,
-                Some(_) => {
-                    self.uploads.insert(rsu, frame.upload().to_owned_upload());
-                    self.refresh_caches_for(rsu);
-                    ReceiveOutcome::Conflicting
-                }
+                Some(prev) if same(&upload, prev) => ReceiveOutcome::Duplicate,
+                Some(_) => ReceiveOutcome::Conflicting,
             },
-            _ => {
-                self.upload_seqs.insert(rsu, frame.seq());
-                self.uploads.insert(rsu, frame.upload().to_owned_upload());
-                self.refresh_caches_for(rsu);
-                ReceiveOutcome::Fresh
-            }
+            _ => ReceiveOutcome::Fresh,
         };
+        if matches!(outcome, ReceiveOutcome::Fresh | ReceiveOutcome::Conflicting) {
+            self.upload_seqs.insert(rsu, seq);
+            self.uploads.insert(rsu, own(upload));
+            self.refresh_caches_for(rsu);
+        }
         self.note_receive(outcome)
+    }
+
+    /// Validates one upload wire frame of any tag (see
+    /// [`UploadFrameRef`]) and ingests it: a bare upload through
+    /// [`receive`](Self::receive), a sequenced one through
+    /// [`receive_sequenced_ref`](Self::receive_sequenced_ref), a batch
+    /// frame by frame in its canonical order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::MalformedMessage`] for a frame the validator
+    /// rejects; nothing is ingested in that case.
+    pub fn receive_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
+        Ok(self.apply(&UploadFrameRef::decode_ref(wire)?))
+    }
+
+    /// Ingests an already-validated upload frame.
+    pub(crate) fn apply(&mut self, frame: &UploadFrameRef<'_>) -> Vec<ReceiveOutcome> {
+        match frame {
+            UploadFrameRef::Plain(upload) => vec![self.receive(upload.to_owned_upload())],
+            UploadFrameRef::Sequenced(sequenced) => vec![self.receive_sequenced_ref(sequenced)],
+            UploadFrameRef::Batch(batch) => batch
+                .frames()
+                .map(|f| self.receive_sequenced_ref(&f))
+                .collect(),
+        }
     }
 
     /// Number of uploads currently held.
@@ -984,10 +1008,10 @@ impl CentralServer {
     /// — persistent-pool workers claiming index ranges of the triangle
     /// in cache-friendly chunks (consecutive pairs share their `i`-side
     /// upload). Each RSU's upload reference and sparse index list are
-    /// prefetched *once* into a [`RsuDecodeRef`] table before the fan-
+    /// prefetched *once* into a `RsuDecodeRef` table before the fan-
     /// out, so the per-pair work is pure kernel time with no map
     /// lookups; each worker reuses one decode scratch across all its
-    /// pairs. When the estimated triangle work ([`od_effective_threads`])
+    /// pairs. When the estimated triangle work (`od_effective_threads`)
     /// is too small to repay a pool dispatch, the whole triangle runs
     /// inline on the caller — small matrices can never lose to the
     /// 1-thread path. Entries are exactly what

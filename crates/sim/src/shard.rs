@@ -34,7 +34,8 @@ use vcps_hash::splitmix64;
 use vcps_obs::{Obs, Phase};
 
 use crate::protocol::{
-    BatchUpload, BatchUploadRef, CheckpointSet, PeriodUpload, SequencedUpload, SequencedUploadRef,
+    BatchUploadRef, CheckpointSet, PeriodUpload, SequencedUpload, SequencedUploadRef,
+    UploadFrameRef,
 };
 use crate::server::{
     od_effective_threads, pair_counts_prefetched, receive_counter_name, with_thread_scratch,
@@ -58,7 +59,7 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 /// hash bucket of RSU ids), answering exactly like a single monolithic
 /// server would.
 ///
-/// * **Writes** ([`receive`], [`receive_sequenced`], [`receive_batch`],
+/// * **Writes** ([`receive_wire`], [`receive`], [`receive_sequenced`],
 ///   [`receive_parallel`]) route each upload to the owning shard; the
 ///   parallel form runs one worker per shard over disjoint `&mut`
 ///   shards, lock-free.
@@ -69,7 +70,7 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 ///
 /// [`receive`]: ShardedServer::receive
 /// [`receive_sequenced`]: ShardedServer::receive_sequenced
-/// [`receive_batch`]: ShardedServer::receive_batch
+/// [`receive_wire`]: ShardedServer::receive_wire
 /// [`receive_parallel`]: ShardedServer::receive_parallel
 /// [`estimate`]: ShardedServer::estimate
 /// [`estimate_or_degraded`]: ShardedServer::estimate_or_degraded
@@ -278,21 +279,6 @@ impl ShardedServer {
         self.note_receive(rsu, outcome)
     }
 
-    /// Ingests one [`BatchUpload`] frame: every inner sequenced upload
-    /// is routed exactly as [`receive_sequenced`] would route it, and
-    /// the outcomes come back in the batch's (sorted) frame order.
-    ///
-    /// [`receive_sequenced`]: ShardedServer::receive_sequenced
-    pub fn receive_batch(&mut self, batch: BatchUpload) -> Vec<ReceiveOutcome> {
-        let frames = batch.into_frames();
-        self.obs.inc("batch.frames");
-        self.obs.add("batch.uploads", frames.len() as u64);
-        frames
-            .into_iter()
-            .map(|f| self.receive_sequenced(f))
-            .collect()
-    }
-
     /// [`receive_sequenced`](Self::receive_sequenced) over a borrowed
     /// wire view: routed to the owning shard's
     /// [`CentralServer::receive_sequenced_ref`], so stale and duplicate
@@ -304,40 +290,40 @@ impl ShardedServer {
         self.note_receive(rsu, outcome)
     }
 
-    /// [`receive_batch`](Self::receive_batch) over an already-validated
-    /// borrowed batch view: inner frames are routed straight off the
-    /// wire buffer, with per-record heap allocation only where a fresh
+    /// Ingests an already-validated batch view: inner frames are routed
+    /// straight off the wire buffer in canonical `(rsu, seq)` order,
+    /// exactly as [`receive_sequenced_ref`](Self::receive_sequenced_ref)
+    /// routes them, with per-record heap allocation only where a fresh
     /// or conflicting upload is actually retained (DESIGN.md §18).
-    ///
-    /// [`receive_batch`]: ShardedServer::receive_batch
     pub fn receive_batch_ref(&mut self, batch: &BatchUploadRef<'_>) -> Vec<ReceiveOutcome> {
         self.obs.inc("batch.frames");
         self.obs.add("batch.uploads", batch.len() as u64);
         batch
             .frames()
-            .map(|frame| {
-                let rsu = frame.upload().rsu();
-                let shard = self.shard_of(rsu);
-                let outcome = self.shards[shard].receive_sequenced_ref(&frame);
-                self.note_receive(rsu, outcome)
-            })
+            .map(|frame| self.receive_sequenced_ref(&frame))
             .collect()
     }
 
-    /// Decodes a batch wire frame as a borrowed view and ingests it —
-    /// the zero-copy form of `BatchUpload::decode` +
-    /// [`receive_batch`](Self::receive_batch). Outcomes and registry
-    /// counters are identical to the owned path; only the allocation
-    /// profile differs.
+    /// Validates one upload wire frame of any tag (see
+    /// [`UploadFrameRef`]) and routes it: the sharded
+    /// [`CentralServer::receive_wire`] — same outcomes, same registry
+    /// counters, plus the composite's `shard.*` / `batch.*` series.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::MalformedMessage`] for exactly the frames
-    /// [`BatchUpload::decode`] rejects — nothing is ingested in that
-    /// case.
-    pub fn receive_batch_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
-        let batch = BatchUploadRef::decode_ref(wire)?;
-        Ok(self.receive_batch_ref(&batch))
+    /// Returns [`SimError::MalformedMessage`] for a frame the validator
+    /// rejects; nothing is ingested in that case.
+    pub fn receive_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
+        Ok(self.apply(&UploadFrameRef::decode_ref(wire)?))
+    }
+
+    /// Ingests an already-validated upload frame.
+    pub(crate) fn apply(&mut self, frame: &UploadFrameRef<'_>) -> Vec<ReceiveOutcome> {
+        match frame {
+            UploadFrameRef::Plain(upload) => vec![self.receive(upload.to_owned_upload())],
+            UploadFrameRef::Sequenced(sequenced) => vec![self.receive_sequenced_ref(sequenced)],
+            UploadFrameRef::Batch(batch) => self.receive_batch_ref(batch),
+        }
     }
 
     /// Ingests a whole period's uploads with one worker per shard:
@@ -580,6 +566,7 @@ impl ShardedServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::BatchUpload;
     use vcps_bitarray::BitArray;
 
     fn upload(rsu: u64, m: usize, ones: &[usize], counter: u64) -> PeriodUpload {
@@ -692,7 +679,7 @@ mod tests {
             .collect();
         let batch = BatchUpload::new(frames.clone()).unwrap();
         let (_, mut via_batch) = servers(4);
-        let outcomes = via_batch.receive_batch(batch);
+        let outcomes = via_batch.receive_wire(&batch.encode()).unwrap();
         assert!(outcomes.iter().all(|&o| o == ReceiveOutcome::Fresh));
         let (_, mut via_loop) = servers(4);
         for f in frames {
@@ -706,10 +693,10 @@ mod tests {
     }
 
     /// The zero-copy wire path is outcome- and state-identical to the
-    /// owned batch path, including on retransmissions (duplicates) and
-    /// conflicting re-sends.
+    /// owned sequenced path, including on retransmissions (duplicates)
+    /// and conflicting re-sends.
     #[test]
-    fn receive_batch_wire_matches_owned_batch_path() {
+    fn receive_wire_batch_matches_owned_sequenced_path() {
         let frames: Vec<SequencedUpload> = (0..10u64)
             .map(|r| SequencedUpload {
                 seq: 3,
@@ -726,8 +713,13 @@ mod tests {
         let (_, mut via_wire) = servers(4);
         let (_, mut via_owned) = servers(4);
         for batch_wire in [&wire, &wire, &conflicting] {
-            let wire_outcomes = via_wire.receive_batch_wire(batch_wire).unwrap();
-            let owned_outcomes = via_owned.receive_batch(BatchUpload::decode(batch_wire).unwrap());
+            let wire_outcomes = via_wire.receive_wire(batch_wire).unwrap();
+            let owned_outcomes: Vec<ReceiveOutcome> = BatchUpload::decode(batch_wire)
+                .unwrap()
+                .into_frames()
+                .into_iter()
+                .map(|f| via_owned.receive_sequenced(f))
+                .collect();
             assert_eq!(wire_outcomes, owned_outcomes);
         }
         assert_eq!(via_wire.upload_count(), via_owned.upload_count());
@@ -740,10 +732,55 @@ mod tests {
         );
         // A malformed wire is rejected without ingesting anything.
         let before = via_wire.upload_count();
-        assert!(via_wire
-            .receive_batch_wire(&wire[..wire.len() - 1])
-            .is_err());
+        assert!(via_wire.receive_wire(&wire[..wire.len() - 1]).is_err());
         assert_eq!(via_wire.upload_count(), before);
+    }
+
+    /// Every upload tag reaches the same state through the monolith's
+    /// and the composite's `receive_wire`; anything else is refused.
+    #[test]
+    fn receive_wire_routes_every_upload_tag_like_the_monolith() {
+        let plain = upload(1, 64, &[3], 1);
+        let sequenced = SequencedUpload {
+            seq: 2,
+            upload: upload(2, 64, &[5, 9], 2),
+        };
+        let batch = BatchUpload::new(vec![
+            SequencedUpload {
+                seq: 2,
+                upload: upload(3, 64, &[7], 1),
+            },
+            sequenced.clone(),
+        ])
+        .unwrap();
+        let frames = [
+            plain.encode(),
+            plain.encode_compact(),
+            sequenced.encode(),
+            batch.encode(),
+        ];
+        let (mut mono, mut sharded) = servers(4);
+        for wire in &frames {
+            assert_eq!(
+                mono.receive_wire(wire).unwrap(),
+                sharded.receive_wire(wire).unwrap()
+            );
+        }
+        assert_eq!(sharded.upload_count(), 3);
+        for r in 1..=3u64 {
+            assert_eq!(mono.upload(RsuId(r)), sharded.upload(RsuId(r)));
+        }
+        let query = crate::protocol::Query {
+            rsu: RsuId(1),
+            certificate: crate::pki::TrustedAuthority::new(1).issue(RsuId(1)),
+            array_size: 64,
+        };
+        for bad in [Vec::new(), query.encode().to_vec(), vec![99, 0, 0]] {
+            assert!(matches!(
+                sharded.receive_wire(&bad),
+                Err(SimError::MalformedMessage { .. })
+            ));
+        }
     }
 
     #[test]

@@ -156,9 +156,9 @@ fn borrowed_decode_is_allocation_free() {
         let owned = batch(rsus);
         let wire = owned.encode().to_vec();
         let mut server = ShardedServer::new(scheme.clone(), 1.0, 4).expect("valid shard count");
-        server.receive_batch_wire(&wire).expect("first ingest");
+        server.receive_wire(&wire).expect("first ingest");
         let (outcomes, allocs) =
-            allocs_during(|| server.receive_batch_wire(&wire).expect("duplicate ingest"));
+            allocs_during(|| server.receive_wire(&wire).expect("duplicate ingest"));
         assert_eq!(outcomes.len(), rsus as usize);
         assert!(
             outcomes

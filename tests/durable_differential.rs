@@ -265,89 +265,115 @@ fn faulty_crash_and_recover_is_bit_identical() {
     let trips = line4_trips(100, seed);
     let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
     let history = vec![100.0; 4];
-    let plan = FaultPlan::new(seed ^ 0xFA_17)
-        .with_report_link(LinkFaults::none().with_drop(0.2).with_bit_flip(0.1))
-        .with_upload_link(LinkFaults::none().with_drop(0.3).with_duplicate(0.2));
-    let policy = RetryPolicy::default();
-
-    let faulty = |threads| PeriodRun {
-        faults: Some((plan.clone(), policy)),
-        ..config(seed, threads)
-    };
-    let ref_obs = Obs::enabled(Level::Info);
-    let reference = faulty(1)
-        .run(
-            ShardedServer::new(scheme.clone(), 1.0, 2)
-                .expect("reference server")
-                .with_obs(ref_obs.clone()),
-            &net,
-            &net.free_flow_times(),
-            &[&trips],
-            &history,
-        )
-        .expect("reference faulty run");
-    let ref_counters = strip_own_series(ref_obs.snapshot().counters);
-    let ref_pairs = all_pair_estimates(4, |a, b| reference.server.estimate_or_degraded(a, b));
-
-    let option_sets = [
-        DurableOptions::log_only(),
-        DurableOptions::log_only().with_checkpoint_every(2),
+    let report_link = LinkFaults::none().with_drop(0.2).with_bit_flip(0.1);
+    // The second upload link also corrupts copies: a truncated or
+    // bit-flipped copy that still validates is logged byte-for-byte as it
+    // arrived, and replay must reach the same state from those bytes.
+    let plans = [
+        FaultPlan::new(seed ^ 0xFA_17)
+            .with_report_link(report_link)
+            .with_upload_link(LinkFaults::none().with_drop(0.3).with_duplicate(0.2)),
+        FaultPlan::new(seed ^ 0xFA_17)
+            .with_report_link(report_link)
+            .with_upload_link(
+                LinkFaults::none()
+                    .with_drop(0.2)
+                    .with_duplicate(0.2)
+                    .with_bit_flip(0.3)
+                    .with_truncate(0.6),
+            ),
     ];
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            for options in option_sets {
-                // Crash immediately, mid-period, and (via an at_record
-                // the log never reaches) at period end.
-                for at_record in [0, 2, 1 << 40] {
-                    let dir = scratch("faulty");
-                    let obs = Obs::enabled(Level::Info);
-                    let server =
-                        DurableServer::create(scheme.clone(), 1.0, shards, &dir, options, &obs)
-                            .expect("create durable server");
-                    let run = PeriodRun {
-                        crash: Some(ServerCrash { at_record }),
-                        ..faulty(threads)
-                    }
-                    .run(server, &net, &net.free_flow_times(), &[&trips], &history)
-                    .expect("durable faulty run");
-                    let label = format!(
-                        "{shards} shards x {threads} threads, crash at {at_record}, options {options:?}"
-                    );
-                    assert_eq!(
-                        strip_own_series(obs.snapshot().counters),
-                        ref_counters,
-                        "counters: {label}"
-                    );
-                    assert_eq!(
-                        run.exchanges_per_period, reference.exchanges_per_period,
-                        "exchanges: {label}"
-                    );
-                    assert_eq!(
-                        run.faults_per_period, reference.faults_per_period,
-                        "fault metrics: {label}"
-                    );
-                    assert_eq!(
-                        run.undelivered_per_period, reference.undelivered_per_period,
-                        "undelivered: {label}"
-                    );
-                    let report = run.recovery.as_ref().expect("crash always recovers");
-                    assert!(report.tail_error.is_none(), "clean tail: {label}");
-                    for node in 0..4u64 {
-                        assert_eq!(
-                            run.server.server().upload(RsuId(node)),
-                            reference.server.upload(RsuId(node)),
-                            "upload for node {node}: {label}"
+    let policy = RetryPolicy::default();
+    for plan in &plans {
+        let faulty = |threads| PeriodRun {
+            faults: Some((plan.clone(), policy)),
+            ..config(seed, threads)
+        };
+        let ref_obs = Obs::enabled(Level::Info);
+        let reference = faulty(1)
+            .run(
+                ShardedServer::new(scheme.clone(), 1.0, 2)
+                    .expect("reference server")
+                    .with_obs(ref_obs.clone()),
+                &net,
+                &net.free_flow_times(),
+                &[&trips],
+                &history,
+            )
+            .expect("reference faulty run");
+        let ref_counters = strip_own_series(ref_obs.snapshot().counters);
+        let ref_pairs = all_pair_estimates(4, |a, b| reference.server.estimate_or_degraded(a, b));
+        if plan.upload_link.truncate > 0.0 {
+            // The corrupting link must really truncate and flip copies,
+            // and deliver at least one corrupted copy that still
+            // validates (a conflicting re-send of the same sequence).
+            let faults = &reference.faults_per_period[0];
+            assert!(faults.upload_link.truncated > 0 && faults.upload_link.bit_flipped > 0);
+            assert!(faults.upload_conflicts > 0);
+        }
+
+        let option_sets = [
+            DurableOptions::log_only(),
+            DurableOptions::log_only().with_checkpoint_every(2),
+        ];
+        for shards in SHARD_COUNTS {
+            for threads in THREAD_COUNTS {
+                for options in option_sets {
+                    // Crash immediately, mid-period, and (via an at_record
+                    // the log never reaches) at period end.
+                    for at_record in [0, 2, 1 << 40] {
+                        let dir = scratch("faulty");
+                        let obs = Obs::enabled(Level::Info);
+                        let server =
+                            DurableServer::create(scheme.clone(), 1.0, shards, &dir, options, &obs)
+                                .expect("create durable server");
+                        let run = PeriodRun {
+                            crash: Some(ServerCrash { at_record }),
+                            ..faulty(threads)
+                        }
+                        .run(server, &net, &net.free_flow_times(), &[&trips], &history)
+                        .expect("durable faulty run");
+                        let label = format!(
+                            "{shards} shards x {threads} threads, crash at {at_record}, \
+                             options {options:?}, upload link {:?}",
+                            plan.upload_link
                         );
+                        assert_eq!(
+                            strip_own_series(obs.snapshot().counters),
+                            ref_counters,
+                            "counters: {label}"
+                        );
+                        assert_eq!(
+                            run.exchanges_per_period, reference.exchanges_per_period,
+                            "exchanges: {label}"
+                        );
+                        assert_eq!(
+                            run.faults_per_period, reference.faults_per_period,
+                            "fault metrics: {label}"
+                        );
+                        assert_eq!(
+                            run.undelivered_per_period, reference.undelivered_per_period,
+                            "undelivered: {label}"
+                        );
+                        let report = run.recovery.as_ref().expect("crash always recovers");
+                        assert!(report.tail_error.is_none(), "clean tail: {label}");
+                        for node in 0..4u64 {
+                            assert_eq!(
+                                run.server.server().upload(RsuId(node)),
+                                reference.server.upload(RsuId(node)),
+                                "upload for node {node}: {label}"
+                            );
+                        }
+                        assert_eq!(
+                            all_pair_estimates(4, |a, b| run
+                                .server
+                                .server()
+                                .estimate_or_degraded(a, b)),
+                            ref_pairs,
+                            "estimates: {label}"
+                        );
+                        let _ = std::fs::remove_dir_all(&dir);
                     }
-                    assert_eq!(
-                        all_pair_estimates(4, |a, b| run
-                            .server
-                            .server()
-                            .estimate_or_degraded(a, b)),
-                        ref_pairs,
-                        "estimates: {label}"
-                    );
-                    let _ = std::fs::remove_dir_all(&dir);
                 }
             }
         }
@@ -466,7 +492,7 @@ fn corrupted_tail_recovers_to_last_valid_record() {
         )
         .expect("create durable server");
         for frame in &frames {
-            durable.receive_sequenced(frame.clone()).expect("ingest");
+            durable.receive_wire(&frame.encode()).expect("ingest");
         }
         let wal_path = durable.wal_path().to_path_buf();
         drop(durable);
@@ -554,7 +580,7 @@ fn checkpoint_past_corrupted_log_is_ignored() {
     )
     .expect("create durable server");
     for frame in &frames {
-        durable.receive_sequenced(frame.clone()).expect("ingest");
+        durable.receive_wire(&frame.encode()).expect("ingest");
     }
     let wal_path = durable.wal_path().to_path_buf();
     drop(durable);
@@ -633,7 +659,7 @@ proptest! {
         )
         .expect("create durable server");
         for frame in &frames[..crash] {
-            durable.receive_sequenced(frame.clone()).expect("ingest");
+            durable.receive_wire(&frame.encode()).expect("ingest");
         }
         if flush_before_crash {
             durable.flush_wal().expect("flush");

@@ -15,8 +15,8 @@
 //!   The disabled path is the budgeted one: it must stay within a few
 //!   percent of the uninstrumented baseline.
 //! * `BENCH_shard.json` — sharded vs monolithic batch ingestion
-//!   (DESIGN.md §15): one period's sequenced uploads into a monolithic
-//!   `CentralServer` loop vs `ShardedServer::receive_parallel` at 1, 2,
+//!   (DESIGN.md §15): one period's sequenced uploads into a one-shard
+//!   `ShardedServer` loop vs `ShardedServer::receive_parallel` at 1, 2,
 //!   4, and 8 shards. Worker count is capped at the available cores, so
 //!   on a single-core box every shard count degenerates to the routed
 //!   sequential path and the speedup column reads ≈ 1.0 by design.
@@ -58,8 +58,8 @@ use vcps_sim::concurrent::{
 };
 use vcps_sim::pki::TrustedAuthority;
 use vcps_sim::{
-    build_metro, BatchUpload, BatchUploadRef, CentralServer, MetroConfig, PeriodRun,
-    PeriodSettings, PeriodUpload, ShardedServer,
+    build_metro, BatchUpload, BatchUploadRef, MetroConfig, PeriodRun, PeriodSettings, PeriodUpload,
+    ShardedServer,
 };
 
 const ARRAY_BITS: usize = 1 << 20;
@@ -557,7 +557,7 @@ fn bench_shard(samples: usize) -> String {
         move || {
             let frames = master.clone();
             let start = Instant::now();
-            let mut server = CentralServer::new(scheme.clone(), 1.0).expect("valid alpha");
+            let mut server = ShardedServer::new(scheme.clone(), 1.0, 1).expect("valid alpha");
             for frame in frames {
                 server.receive_sequenced(frame);
             }

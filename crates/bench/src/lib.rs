@@ -28,7 +28,7 @@ use vcps_core::{
 };
 use vcps_hash::RsuId;
 use vcps_sim::concurrent::MutexRsu;
-use vcps_sim::{BitReport, CentralServer, MacAddress, PeriodUpload, SequencedUpload};
+use vcps_sim::{BitReport, MacAddress, PeriodUpload, SequencedUpload, ShardedServer};
 
 /// Builds a sketch of size `m` with roughly `fill` fraction of distinct
 /// bits set, deterministically.
@@ -143,10 +143,10 @@ pub fn shard_ingest_workload(
 ///
 /// Panics if `m < 256` or `load` is not in `[0, 1]`.
 #[must_use]
-pub fn od_server(rsus: usize, m: usize, load: f64, seed: u64) -> (CentralServer, Vec<RsuId>) {
+pub fn od_server(rsus: usize, m: usize, load: f64, seed: u64) -> (ShardedServer, Vec<RsuId>) {
     assert!(m >= 256, "need room for the size ladder");
     let scheme = Scheme::variable(2, 3.0, seed).expect("valid scheme");
-    let mut server = CentralServer::new(scheme, 0.5).expect("valid alpha");
+    let mut server = ShardedServer::new(scheme, 0.5, 1).expect("valid alpha");
     let mut ids = Vec::with_capacity(rsus);
     for i in 0..rsus {
         let id = RsuId(i as u64 + 1);
@@ -171,7 +171,7 @@ pub fn od_server(rsus: usize, m: usize, load: f64, seed: u64) -> (CentralServer,
 ///
 /// Panics if any listed RSU has no upload or sizes are not nested.
 #[must_use]
-pub fn pairwise_dense_baseline(server: &CentralServer, rsus: &[RsuId]) -> Vec<Estimate> {
+pub fn pairwise_dense_baseline(server: &ShardedServer, rsus: &[RsuId]) -> Vec<Estimate> {
     let s = server.scheme().s();
     let mut out = Vec::with_capacity(rsus.len() * rsus.len().saturating_sub(1) / 2);
     for (i, &a) in rsus.iter().enumerate() {
@@ -574,11 +574,11 @@ mod tests {
         assert_eq!(pool[0], pool[1]);
         assert_eq!(pool[1], pool[2]);
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
-        let mut mono = CentralServer::new(scheme.clone(), 1.0).unwrap();
+        let mut mono = ShardedServer::new(scheme.clone(), 1.0, 1).unwrap();
         for frame in pool[0].clone() {
             mono.receive_sequenced(frame);
         }
-        let mut sharded = vcps_sim::ShardedServer::new(scheme, 1.0, 4).unwrap();
+        let mut sharded = ShardedServer::new(scheme, 1.0, 4).unwrap();
         let outcomes = sharded.receive_parallel(pool[1].clone());
         assert_eq!(outcomes.len(), 8);
         assert_eq!(sharded.upload_count(), mono.upload_count());

@@ -6,7 +6,7 @@
 //! equilibrium, and streams every vehicle report through the sharded
 //! batch-ingestion server for `--periods` consecutive measurement
 //! periods with a `--window`-period sliding O–D window. Every run also
-//! replays the identical workload through the monolithic server and
+//! replays the identical workload through the one-shard server and
 //! records whether the two shapes agreed bit for bit (`sharded_equal`
 //! in the JSON; the metro-smoke CI job asserts it), plus estimation
 //! accuracy against exact per-vehicle ground truth, ingest throughput,
@@ -37,9 +37,8 @@ use vcps_experiments::{
     write_obs_json, PRIVACY_TARGET,
 };
 use vcps_sim::{
-    build_metro, CentralServer, FaultMetrics, FaultPlan, LinkFaults, MetroConfig, MetroLayout,
-    MetroWorkload, PeriodRun, PeriodSettings, RetryPolicy, RunOutcome, ShardedServer,
-    SlidingWindow,
+    build_metro, FaultMetrics, FaultPlan, LinkFaults, MetroConfig, MetroLayout, MetroWorkload,
+    PeriodRun, PeriodSettings, RetryPolicy, RunOutcome, ShardedServer, SlidingWindow,
 };
 
 struct Outcome {
@@ -117,7 +116,7 @@ fn run(
             config.run(server, net, &link_times, periods, history)
         })
         .expect("sharded metro run");
-    let mono = CentralServer::new(scheme.clone(), VolumeHistory::DEFAULT_ALPHA)
+    let mono = ShardedServer::new(scheme.clone(), VolumeHistory::DEFAULT_ALPHA, 1)
         .and_then(|server| config.run(server, net, &link_times, periods, history))
         .expect("monolithic metro run");
     let sharded_equal = runs_agree(&sharded, &mono);

@@ -4,7 +4,7 @@
 //!
 //! * **Synthetic sweep** (default): servers with `--rsus` uploads at
 //!   each `--loads` fill fraction (array sizes cycle m, m/2, m/4 so all
-//!   kernels fire), timing the batch [`CentralServer::od_matrix`]
+//!   kernels fire), timing the batch [`ShardedServer::od_matrix`]
 //!   pipeline at each `--threads` count against the per-pair
 //!   clone-and-rescan baseline the server used before the batch decoder
 //!   existed (DESIGN.md §13). Emits the same row shape as
@@ -41,7 +41,7 @@ use vcps_experiments::{
 use vcps_roadnet::assignment::all_or_nothing;
 use vcps_roadnet::assignment::point_volumes;
 use vcps_roadnet::{expand_vehicle_trips, sioux_falls};
-use vcps_sim::{CentralServer, OdMatrix, PeriodRun, PeriodSettings, ShardedServer};
+use vcps_sim::{OdMatrix, PeriodRun, PeriodSettings, ShardedServer};
 
 fn parse_list<T: std::str::FromStr>(raw: &str) -> Vec<T> {
     raw.split(',')
@@ -185,7 +185,7 @@ fn run_sioux_falls(subsample: f64, seed: u64, shards: Option<usize>) -> (OdMatri
         ..PeriodRun::default()
     };
     let link_times = net.free_flow_times();
-    let run = CentralServer::new(scheme.clone(), 1.0)
+    let run = ShardedServer::new(scheme.clone(), 1.0, 1)
         .and_then(|server| config.run(server, &net, &link_times, &[&vehicles], &history))
         .expect("network period failed");
     let matrix = run.server.od_matrix().expect("all-pairs decode failed");

@@ -22,13 +22,12 @@
 //!     [--seed N]
 //!     [--report-loss R]   comma list of rates (default 0,0.05,0.1,0.2,0.3,0.5)
 //!     [--upload-loss R]   comma list of rates (default 0,0.25,0.5,0.75,1)
-//!     [--shards K]        run each point through a K-shard batch
-//!                         server instead of the monolithic one (same
-//!                         JSON shape; estimates and fault metrics are
+//!     [--shards K]        run each point through a K-shard server
+//!                         (default 1, the monolithic one; same JSON
+//!                         shape; estimates and fault metrics are
 //!                         bit-identical by the DESIGN.md §15 contract)
 //!     [--wal-dir PATH]    write-ahead log every upload frame under
-//!                         PATH (DESIGN.md §17; implies sharded
-//!                         ingestion, default 1 shard — estimates stay
+//!                         PATH (DESIGN.md §17; estimates stay
 //!                         bit-identical, the sweep just leaves a
 //!                         recoverable log behind)
 //!     [--json]            machine-readable output (used by CI)
@@ -45,8 +44,8 @@ use vcps_roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes};
 use vcps_roadnet::{expand_vehicle_trips, sioux_falls, RoadNetwork, VehicleTrip};
 
 use vcps_sim::{
-    CentralServer, DurableOptions, DurableServer, FaultPlan, LinkFaults, PeriodRun, PeriodSettings,
-    RetryPolicy, RunOutcome, ServerBackend, ShardedServer,
+    DurableOptions, DurableServer, FaultPlan, LinkFaults, PeriodRun, PeriodSettings, RetryPolicy,
+    RunOutcome, ServerBackend, ShardedServer,
 };
 
 /// The Table-I `R_x` node labels, measured against `R_y` = node 10.
@@ -226,7 +225,9 @@ fn main() {
         .map(|v| parse_rates(&v))
         .unwrap_or_else(|| vec![0.0, 0.25, 0.5, 0.75, 1.0]);
     let json = arg_flag(&args, "--json");
-    let shards: Option<usize> = arg_value(&args, "--shards").and_then(|v| v.parse().ok());
+    let shards: usize = arg_value(&args, "--shards")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1);
     let wal_dir: Option<std::path::PathBuf> =
         arg_value(&args, "--wal-dir").map(std::path::PathBuf::from);
     let (obs, obs_path) = obs_from_args(&args);
@@ -262,8 +263,8 @@ fn main() {
             "Sioux Falls, {} vehicles (subsample {subsample}), s = {s}, f̄ = {f_bar:.2}, seed = {seed}",
             vehicles.len()
         );
-        if let Some(k) = shards {
-            println!("ingestion: {k}-shard batch server (bit-identical to monolithic)");
+        if shards > 1 {
+            println!("ingestion: {shards}-shard server (bit-identical to monolithic)");
         }
         if let Some(dir) = &wal_dir {
             println!(
@@ -284,13 +285,13 @@ fn main() {
         pairs: &pairs,
         y,
     };
-    let (report_points, upload_points) = match (&wal_dir, shards) {
-        (Some(dir), k) => sweep.both(
+    let (report_points, upload_points) = match &wal_dir {
+        Some(dir) => sweep.both(
             || {
                 DurableServer::create(
                     scheme.clone(),
                     1.0,
-                    k.unwrap_or(1),
+                    shards,
                     dir,
                     DurableOptions::log_only(),
                     &obs,
@@ -300,19 +301,10 @@ fn main() {
             &report_rates,
             &upload_rates,
         ),
-        (None, Some(k)) => sweep.both(
+        None => sweep.both(
             || {
-                ShardedServer::new(scheme.clone(), 1.0, k)
+                ShardedServer::new(scheme.clone(), 1.0, shards)
                     .expect("valid shard count")
-                    .with_obs(obs.clone())
-            },
-            &report_rates,
-            &upload_rates,
-        ),
-        (None, None) => sweep.both(
-            || {
-                CentralServer::new(scheme.clone(), 1.0)
-                    .expect("valid server")
                     .with_obs(obs.clone())
             },
             &report_rates,

@@ -14,8 +14,8 @@
 //!     [--scale F]        scale all volumes by F (default 1.0)
 //!     [--runs R]         measurement periods to average (default 20)
 //!     [--seed N]
-//!     [--shards K]       ingest through a K-shard batch server instead
-//!                        of the monolithic path (bit-identical results;
+//!     [--shards K]       decode on a K-shard server (default 1, the
+//!                        monolithic one; bit-identical results;
 //!                        exercises the DESIGN.md §15 sharding layer)
 //!     [--obs-json PATH]  record observability (phase timings, kernel
 //!                        choices, message counters) and write the
@@ -89,7 +89,9 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(0x7AB1_E001);
     let from_network = arg_flag(&args, "--from-network");
-    let shards: Option<usize> = arg_value(&args, "--shards").and_then(|v| v.parse().ok());
+    let shards: usize = arg_value(&args, "--shards")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1);
     let s = 2usize;
 
     let rows = if from_network {
@@ -116,8 +118,8 @@ fn main() {
     );
     println!("novel scheme: f̄ = {f_bar:.2} (privacy ≥ {PRIVACY_TARGET})");
     println!("baseline [9]: m = {m_fixed} (privacy ≥ {PRIVACY_TARGET}, binds at n_min)");
-    if let Some(k) = shards {
-        println!("ingestion: {k}-shard batch server (bit-identical to monolithic)");
+    if shards > 1 {
+        println!("ingestion: {shards}-shard server (bit-identical to monolithic)");
     }
     println!();
 

@@ -128,14 +128,13 @@ pub fn run_accuracy_point_obs(
     seed: u64,
     obs: &Obs,
 ) -> Result<PairOutcome, SimError> {
-    run_accuracy_point_sharded_obs(scheme, n_x, n_y, n_c, seed, None, obs)
+    run_accuracy_point_sharded_obs(scheme, n_x, n_y, n_c, seed, 1, obs)
 }
 
-/// [`run_accuracy_point_obs`] with an optional sharded ingestion path:
-/// `Some(k)` routes the period uploads through a `k`-shard
-/// [`vcps_sim::ShardedServer`] in one batch frame
-/// ([`PairRunner::with_shards`]). The sharding layer's contract is
-/// bit-identical estimates, so this changes *which code path* the
+/// [`run_accuracy_point_obs`] on a `shards`-shard
+/// [`vcps_sim::ShardedServer`] ([`PairRunner::with_shards`]; 1 is the
+/// monolithic server). The server's contract is bit-identical estimates
+/// at every shard count, so this changes *which code path* the
 /// experiment exercises, never its numbers.
 ///
 /// # Errors
@@ -147,15 +146,14 @@ pub fn run_accuracy_point_sharded_obs(
     n_y: u64,
     n_c: u64,
     seed: u64,
-    shards: Option<usize>,
+    shards: usize,
     obs: &Obs,
 ) -> Result<PairOutcome, SimError> {
     let workload = SyntheticPair::generate(n_x, n_y, n_c, seed);
-    let mut runner = PairRunner::new(scheme.clone(), RsuId(1), RsuId(2)).with_obs(obs.clone());
-    if let Some(shards) = shards {
-        runner = runner.with_shards(shards);
-    }
-    runner.run(&workload)
+    PairRunner::new(scheme.clone(), RsuId(1), RsuId(2))
+        .with_obs(obs.clone())
+        .with_shards(shards)
+        .run(&workload)
 }
 
 /// Builds the observability handle an experiment binary should use:
@@ -330,8 +328,8 @@ mod tests {
     fn sharded_accuracy_point_matches_monolithic() {
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
         let obs = Obs::disabled();
-        let mono = run_accuracy_point_sharded_obs(&scheme, 1_000, 1_000, 300, 5, None, &obs);
-        let sharded = run_accuracy_point_sharded_obs(&scheme, 1_000, 1_000, 300, 5, Some(4), &obs);
+        let mono = run_accuracy_point_sharded_obs(&scheme, 1_000, 1_000, 300, 5, 1, &obs);
+        let sharded = run_accuracy_point_sharded_obs(&scheme, 1_000, 1_000, 300, 5, 4, &obs);
         assert_eq!(
             mono.unwrap().estimate,
             sharded.unwrap().estimate,

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use vcps_core::{RsuId, Scheme};
 use vcps_net::wire::{estimate_bits, Response};
 use vcps_net::workload::{city_replay_frames, reference_order};
-use vcps_net::{ConnectionLimits, Daemon, DaemonConfig, NetClient, WireMatrix};
+use vcps_net::{ConnectionLimits, Daemon, DaemonConfig, NetClient, NetError, WireMatrix};
 use vcps_obs::Obs;
 use vcps_sim::synthetic::SyntheticCity;
 use vcps_sim::{
@@ -107,6 +107,36 @@ fn loopback_replay_is_bit_identical_to_in_process() {
         client.shutdown().unwrap();
         handle.join().unwrap();
     }
+}
+
+/// A pair query naming one RSU twice has no O–D meaning: the daemon
+/// answers with an error response, never a number, and the connection
+/// stays usable.
+#[test]
+fn self_pair_query_is_refused_and_the_connection_survives() {
+    let frames = city_replay_frames(&scheme(), &city(), 1, 1);
+    let reference = reference_server(&frames, 4);
+    let daemon = Daemon::bind("127.0.0.1:0", DaemonConfig::new(scheme())).unwrap();
+    let addr = daemon.local_addr();
+    let handle = daemon.spawn();
+    replay(addr, frames);
+
+    let mut client = NetClient::connect(addr).unwrap();
+    for rsu in [1u64, 2, 99] {
+        match client.pair_query(rsu, rsu) {
+            Err(NetError::Server(msg)) => assert!(msg.contains("pair"), "rsu {rsu}: {msg}"),
+            other => panic!("self pair ({rsu}, {rsu}) must be refused, got {other:?}"),
+        }
+        client
+            .ping()
+            .expect("the connection survives a refused query");
+    }
+    let remote_pair = client.pair_query(1, 2).unwrap();
+    let local_pair = reference.estimate_or_degraded(RsuId(1), RsuId(2)).unwrap();
+    assert_eq!(estimate_bits(&remote_pair), estimate_bits(&local_pair));
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
 }
 
 #[test]

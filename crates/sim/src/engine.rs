@@ -8,7 +8,7 @@
 //! with one driver, [`PeriodRun`]: every node hosts an RSU, every
 //! arrival records one passage, every RSU uploads at period end, and
 //! each period's counters size the next period's arrays. The server
-//! shape — monolithic, sharded, or write-ahead-logged — is a
+//! shape — in-memory at any shard count, or write-ahead-logged — is a
 //! [`ServerBackend`] type parameter, so every shape runs the same code.
 
 use std::cmp::Ordering;
@@ -31,7 +31,7 @@ use crate::metrics::FaultMetrics;
 use crate::metro::SlidingWindow;
 use crate::pki::TrustedAuthority;
 use crate::protocol::{BatchUpload, BitReport, Query, SequencedUpload, UploadFrameRef};
-use crate::{CentralServer, OdMatrix, ReceiveOutcome, ShardedServer, SimError, SimVehicle};
+use crate::{OdMatrix, ReceiveOutcome, ShardedServer, SimError, SimVehicle};
 
 /// One vehicle reaching one RSU site.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,8 +162,8 @@ impl Default for PeriodSettings {
     }
 }
 
-/// A server shape the [`PeriodRun`] loop can drive: the monolithic
-/// [`CentralServer`], the hash-partitioned [`ShardedServer`], or the
+/// A server shape the [`PeriodRun`] loop can drive: the in-memory
+/// [`ShardedServer`] (one shard for the monolithic server) or the
 /// write-ahead-logged [`DurableServer`](crate::DurableServer).
 ///
 /// Uploads reach every backend the same way, as wire frames through
@@ -195,7 +195,7 @@ pub trait ServerBackend: Sized {
     /// Seeds one RSU's volume history before the first period.
     fn seed(&mut self, rsu: RsuId, average: f64);
 
-    /// Closes the open period (see [`CentralServer::finish_period`]),
+    /// Closes the open period (see [`ShardedServer::finish_period`]),
     /// returning each RSU's array size for the next one.
     ///
     /// # Errors
@@ -212,19 +212,19 @@ pub trait ServerBackend: Sized {
     fn od(&self, threads: usize) -> Result<OdMatrix, SimError>;
 
     /// One pair's measured estimate, clamped at saturation (see
-    /// [`CentralServer::estimate_or_clamp`]).
+    /// [`ShardedServer::estimate_or_clamp`]).
     ///
     /// # Errors
     ///
-    /// As [`CentralServer::estimate_or_clamp`].
+    /// As [`ShardedServer::estimate_or_clamp`].
     fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError>;
 
     /// One pair's answer with the history-backed fallback (see
-    /// [`CentralServer::estimate_or_degraded`]).
+    /// [`ShardedServer::estimate_or_degraded`]).
     ///
     /// # Errors
     ///
-    /// As [`CentralServer::estimate_or_degraded`].
+    /// As [`ShardedServer::estimate_or_degraded`].
     fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError>;
 
     /// WAL records appended so far; `0` for backends without a log.
@@ -245,40 +245,6 @@ pub trait ServerBackend: Sized {
             parameter: "crash",
             reason: "a ServerCrash needs a durable backend".to_string(),
         }))
-    }
-}
-
-impl ServerBackend for CentralServer {
-    fn scheme(&self) -> &Scheme {
-        CentralServer::scheme(self)
-    }
-
-    fn seed(&mut self, rsu: RsuId, average: f64) {
-        self.seed_history(rsu, average);
-    }
-
-    fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
-        self.finish_period()
-    }
-
-    fn od(&self, threads: usize) -> Result<OdMatrix, SimError> {
-        self.od_matrix_threads(threads)
-    }
-
-    fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
-        CentralServer::estimate_or_clamp(self, a, b)
-    }
-
-    fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
-        CentralServer::estimate_or_degraded(self, a, b)
-    }
-
-    fn obs(&self) -> &Obs {
-        CentralServer::obs(self)
-    }
-
-    fn ingest_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
-        Ok(self.apply(&UploadFrameRef::decode_sequenced_ref(wire)?))
     }
 }
 
@@ -328,7 +294,7 @@ impl ServerBackend for ShardedServer {
 /// use vcps_core::{RsuId, Scheme};
 /// use vcps_roadnet::{Link, RoadNetwork, VehicleTrip};
 /// use vcps_sim::engine::{PeriodRun, PeriodSettings};
-/// use vcps_sim::CentralServer;
+/// use vcps_sim::ShardedServer;
 ///
 /// # fn main() -> Result<(), vcps_sim::SimError> {
 /// let net = RoadNetwork::new(2, vec![Link::new(0, 1, 10.0, 2.0)]).unwrap();
@@ -342,7 +308,7 @@ impl ServerBackend for ShardedServer {
 ///     ..PeriodRun::default()
 /// }
 /// .run(
-///     CentralServer::new(scheme, 1.0)?,
+///     ShardedServer::new(scheme, 1.0, 1)?,
 ///     &net,
 ///     &net.free_flow_times(),
 ///     &[&trips],
@@ -815,8 +781,9 @@ mod tests {
         }
     }
 
-    fn central(scheme: &Scheme, alpha: f64) -> CentralServer {
-        CentralServer::new(scheme.clone(), alpha).unwrap()
+    /// The monolithic reference: a one-shard server.
+    fn central(scheme: &Scheme, alpha: f64) -> ShardedServer {
+        ShardedServer::new(scheme.clone(), alpha, 1).unwrap()
     }
 
     /// Drives `periods` over the line network.
@@ -902,7 +869,7 @@ mod tests {
         assert_eq!(run.sizes_per_period[2][0], 1024); // sized from period 1's 200
                                                       // Once closed, the history reflects the last period's 400 vehicles.
         run.server.finish_period().unwrap();
-        assert_eq!(run.server.history().average(RsuId(0)), Some(400.0));
+        assert_eq!(run.server.history_average(RsuId(0)), Some(400.0));
     }
 
     #[test]
@@ -946,14 +913,14 @@ mod tests {
         par.server.finish_period().unwrap();
         for node in 0..3 {
             assert_eq!(
-                par.server.history().average(RsuId(node)),
-                seq.server.history().average(RsuId(node)),
+                par.server.history_average(RsuId(node)),
+                seq.server.history_average(RsuId(node)),
                 "node {node}"
             );
         }
     }
 
-    fn upload_bytes(server: &CentralServer, nodes: usize) -> Vec<Option<Vec<u8>>> {
+    fn upload_bytes(server: &ShardedServer, nodes: usize) -> Vec<Option<Vec<u8>>> {
         (0..nodes)
             .map(|n| server.upload(RsuId(n as u64)).map(|u| u.encode().to_vec()))
             .collect()
@@ -1157,8 +1124,8 @@ mod tests {
         b.server.finish_period().unwrap();
         for node in 0..3 {
             assert_eq!(
-                a.server.history().average(RsuId(node)),
-                b.server.history().average(RsuId(node)),
+                a.server.history_average(RsuId(node)),
+                b.server.history_average(RsuId(node)),
                 "node {node}"
             );
         }
@@ -1353,6 +1320,14 @@ mod tests {
         }
     }
 
+    /// Counters minus the sharding layer's own `shard.*` / `batch.*`
+    /// series, whose values depend on the shard count.
+    fn strip_shard_series(obs: &Obs) -> BTreeMap<String, u64> {
+        let mut counters = obs.snapshot().counters;
+        counters.retain(|name, _| !name.starts_with("shard.") && !name.starts_with("batch."));
+        counters
+    }
+
     #[test]
     fn sharded_registry_counters_match_monolith_modulo_shard_series() {
         let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
@@ -1377,9 +1352,11 @@ mod tests {
                 &history,
             );
             let _ = sharded.server.od_matrix_threads(2).unwrap();
-            let mut counters = obs.snapshot().counters;
-            counters.retain(|name, _| !name.starts_with("shard.") && !name.starts_with("batch."));
-            assert_eq!(counters, mono_obs.snapshot().counters, "shards = {shards}");
+            assert_eq!(
+                strip_shard_series(&obs),
+                strip_shard_series(&mono_obs),
+                "shards = {shards}"
+            );
         }
     }
 }

@@ -600,7 +600,7 @@ fn note_ingest_outcome(outcome: ReceiveOutcome, metrics: &mut FaultMetrics) {
 ///
 /// Fault counters (attempts, retries, lost acks, dedup outcomes,
 /// simulated backoff) accumulate into `metrics`; if the server carries
-/// an enabled observability handle ([`crate::CentralServer::set_obs`]), the
+/// an enabled observability handle ([`crate::ShardedServer::set_obs`]), the
 /// retry/backoff phase is additionally profiled through it (attempt and
 /// retry counters, per-wait backoff histogram in microseconds).
 ///
@@ -797,7 +797,7 @@ mod tests {
     use super::*;
     use crate::pki::TrustedAuthority;
     use crate::protocol::BitReport;
-    use crate::{CentralServer, MacAddress};
+    use crate::{MacAddress, ShardedServer};
     use vcps_core::Scheme;
 
     fn report_frame() -> Vec<u8> {
@@ -1026,7 +1026,7 @@ mod tests {
     #[test]
     fn upload_with_retry_survives_heavy_loss() {
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
-        let mut server = CentralServer::new(scheme, 0.5).unwrap();
+        let mut server = ShardedServer::new(scheme, 0.5, 1).unwrap();
         let mut bits = BitArray::new(64);
         bits.set(5);
         let upload = PeriodUpload {
@@ -1051,7 +1051,7 @@ mod tests {
     #[test]
     fn upload_with_retry_gives_up_on_a_dead_link() {
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
-        let mut server = CentralServer::new(scheme, 0.5).unwrap();
+        let mut server = ShardedServer::new(scheme, 0.5, 1).unwrap();
         let upload = PeriodUpload {
             rsu: RsuId(4),
             counter: 3,
@@ -1080,7 +1080,7 @@ mod tests {
     #[test]
     fn lost_ack_causes_retry_and_server_side_dedup() {
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
-        let server = CentralServer::new(scheme, 0.5).unwrap();
+        let server = ShardedServer::new(scheme, 0.5, 1).unwrap();
         let upload = PeriodUpload {
             rsu: RsuId(4),
             counter: 3,
@@ -1148,7 +1148,7 @@ mod tests {
         let ch = FaultPlan::none().upload_channel(0);
         // The identical session against the monolith and the sharded
         // server: same state either way.
-        let mut mono = CentralServer::new(scheme.clone(), 0.5).unwrap();
+        let mut mono = ShardedServer::new(scheme.clone(), 0.5, 1).unwrap();
         let mut metrics = FaultMetrics::new();
         let outcome = batch_upload_with_retry(
             &batch,
@@ -1162,7 +1162,7 @@ mod tests {
         assert_eq!(outcome.attempts, 1);
         assert_eq!(mono.upload_count(), 12);
 
-        let mut sharded = crate::ShardedServer::new(scheme, 0.5, 4).unwrap();
+        let mut sharded = ShardedServer::new(scheme, 0.5, 4).unwrap();
         let mut metrics2 = FaultMetrics::new();
         let outcome2 = batch_upload_with_retry(
             &batch,
@@ -1188,12 +1188,12 @@ mod tests {
             max_attempts: 16,
             ..RetryPolicy::default()
         };
-        let mut mono = CentralServer::new(scheme.clone(), 0.5).unwrap();
+        let mut mono = ShardedServer::new(scheme.clone(), 0.5, 1).unwrap();
         let mut m1 = FaultMetrics::new();
         let o1 =
             batch_upload_with_retry(&batch, &plan.upload_channel(0), &mut mono, &policy, &mut m1)
                 .unwrap();
-        let mut sharded = crate::ShardedServer::new(scheme, 0.5, 4).unwrap();
+        let mut sharded = ShardedServer::new(scheme, 0.5, 4).unwrap();
         let mut m2 = FaultMetrics::new();
         let o2 = batch_upload_with_retry(
             &batch,
@@ -1221,7 +1221,7 @@ mod tests {
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
         let batch = period_batch(6);
         let plan = FaultPlan::new(5).with_upload_link(LinkFaults::none().with_bit_flip(1.0));
-        let mut server = CentralServer::new(scheme, 0.5).unwrap();
+        let mut server = ShardedServer::new(scheme, 0.5, 1).unwrap();
         let mut metrics = FaultMetrics::new();
         let outcome = batch_upload_with_retry(
             &batch,
@@ -1242,7 +1242,7 @@ mod tests {
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
         let batch = period_batch(6);
         let plan = FaultPlan::new(9).with_upload_link(LinkFaults::none().with_truncate(1.0));
-        let mut server = CentralServer::new(scheme, 0.5).unwrap();
+        let mut server = ShardedServer::new(scheme, 0.5, 1).unwrap();
         let mut metrics = FaultMetrics::new();
         let outcome = batch_upload_with_retry(
             &batch,

@@ -12,9 +12,11 @@
 //! * [`SimRsu`] — broadcasts [`Query`] messages (RID, certificate, array
 //!   size), records [`BitReport`]s into its sketch, and uploads a
 //!   [`PeriodUpload`] to the server at period end.
-//! * [`CentralServer`] — collects uploads, updates per-RSU volume
-//!   history (EWMA), re-sizes arrays for the next period, and estimates
-//!   point-to-point volumes for arbitrary pairs.
+//! * [`ShardedServer`] — the central server: collects uploads, updates
+//!   per-RSU volume history (EWMA), re-sizes arrays for the next period,
+//!   and estimates point-to-point volumes for arbitrary pairs. RSUs are
+//!   hash-partitioned over its shards; one shard is the monolithic
+//!   server, and answers never depend on the shard count.
 //! * [`pki`] — a toy certificate authority standing in for the paper's
 //!   PKI assumption (keyed-hash "signatures"; **not** real cryptography,
 //!   see DESIGN.md §4).
@@ -88,7 +90,7 @@ pub use protocol::{
 };
 pub use rsu::SimRsu;
 pub use runner::{PairOutcome, PairRunner};
-pub use server::{CentralServer, OdMatrix, ReceiveOutcome};
+pub use server::{OdMatrix, ReceiveOutcome};
 pub use shard::{shard_for, ShardedServer};
 pub use vcps_durable::FlushPolicy;
 pub use vehicle::SimVehicle;

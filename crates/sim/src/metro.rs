@@ -19,10 +19,10 @@
 //!   multi-period loop through any [`crate::engine::ServerBackend`].
 //!   Every shape runs the *same* driver — same authority, departures,
 //!   identities, frames, sequence numbers, and channel keys — so a
-//!   sharded metro run is bit-identical to the monolithic one by
+//!   metro run is bit-identical at every shard count by
 //!   construction, and `tests/metro_differential.rs` pins it.
 //! * [`SlidingWindow`] aggregates the last `W` periods' O–D matrices.
-//!   Per-period entries keep the [`crate::CentralServer::estimate_or_degraded`]
+//!   Per-period entries keep the [`crate::ShardedServer::estimate_or_degraded`]
 //!   semantics — a period in which an RSU crashed contributes its
 //!   history-backed degraded estimate, never a hole — and an empty
 //!   window is a typed [`SimError::EmptyWindow`], never a NaN.
@@ -257,7 +257,7 @@ pub struct WindowEstimate {
 /// control, congestion pricing).
 ///
 /// Window entries are exactly the per-period
-/// [`crate::CentralServer::estimate_or_degraded`] answers: a period in which
+/// [`crate::ShardedServer::estimate_or_degraded`] answers: a period in which
 /// an RSU crashed contributes its degraded history-backed estimate
 /// (flagged via [`WindowEstimate::degraded_periods`]) rather than
 /// disappearing, so the aggregate degrades exactly as gracefully as
@@ -374,7 +374,7 @@ mod tests {
     use super::*;
     use crate::engine::{PeriodRun, PeriodSettings, RunOutcome};
     use crate::faults::{FaultPlan, LinkFaults, RetryPolicy};
-    use crate::CentralServer;
+    use crate::ShardedServer;
     use vcps_core::Scheme;
 
     fn tiny_config() -> MetroConfig {
@@ -402,7 +402,7 @@ mod tests {
             ..PeriodRun::default()
         }
         .run(
-            CentralServer::new(scheme, vcps_core::VolumeHistory::DEFAULT_ALPHA).expect("server"),
+            ShardedServer::new(scheme, vcps_core::VolumeHistory::DEFAULT_ALPHA, 1).expect("server"),
             &workload.net,
             &workload.net.free_flow_times(),
             &workload.periods,
@@ -544,7 +544,7 @@ mod tests {
             max_attempts: 2,
             ..RetryPolicy::default()
         };
-        let run: RunOutcome<CentralServer> = PeriodRun {
+        let run: RunOutcome<ShardedServer> = PeriodRun {
             settings: PeriodSettings {
                 seed: 11,
                 ..PeriodSettings::default()
@@ -554,7 +554,7 @@ mod tests {
             ..PeriodRun::default()
         }
         .run(
-            CentralServer::new(scheme, vcps_core::VolumeHistory::DEFAULT_ALPHA).expect("server"),
+            ShardedServer::new(scheme, vcps_core::VolumeHistory::DEFAULT_ALPHA, 1).expect("server"),
             &workload.net,
             &workload.net.free_flow_times(),
             &workload.periods,

@@ -1043,19 +1043,20 @@ impl<'a> UploadFrameRef<'a> {
     }
 }
 
-/// A serialized snapshot of one [`crate::CentralServer`]'s durable
-/// state (wire tag 7): the history smoothing factor, per-RSU historical
-/// averages, per-RSU accepted sequence numbers, and the accumulated
-/// period uploads — everything `receive`/`finish_period` semantics
-/// depend on. Derived state (decode caches, observability handles) is
-/// deliberately absent; it is rebuilt on restore.
+/// A serialized snapshot of one [`crate::ShardedServer`] shard's
+/// durable state (wire tag 7): the history smoothing factor, per-RSU
+/// historical averages, per-RSU accepted sequence numbers, and the
+/// accumulated period uploads — everything `receive`/`finish_period`
+/// semantics depend on. Derived state (decode caches, observability
+/// handles) is deliberately absent; it is rebuilt on restore.
 ///
 /// The scheme itself is *not* serialized: a checkpoint is only
 /// meaningful to the deployment that wrote it, and the restoring caller
-/// supplies the scheme (see `CentralServer::restore_from_checkpoint`).
+/// supplies the scheme (see
+/// [`crate::ShardedServer::restore_from_checkpoint`]).
 ///
 /// Invariant: each section's RSU keys are strictly increasing.
-/// [`crate::CentralServer::checkpoint`] establishes it (the fields are
+/// [`crate::ShardedServer::checkpoint`] establishes it (the fields are
 /// `BTreeMap`-ordered), [`ServerCheckpoint::decode`] enforces it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerCheckpoint {

@@ -5,9 +5,9 @@ use vcps_obs::{Obs, Phase};
 
 use crate::concurrent::{self, SharedRsu};
 use crate::pki::TrustedAuthority;
-use crate::protocol::{BatchUpload, BitReport, PeriodUpload, SequencedUpload};
+use crate::protocol::{BatchUpload, BitReport, SequencedUpload};
 use crate::synthetic::SyntheticPair;
-use crate::{CentralServer, ShardedServer, SimError, SimVehicle};
+use crate::{ShardedServer, SimError, SimVehicle};
 
 /// Runs the complete protocol for one two-RSU measurement period:
 /// queries, certificate checks, bit reports, wire-encoded uploads, and
@@ -25,7 +25,7 @@ pub struct PairRunner {
     authority: TrustedAuthority,
     mac_seed: u64,
     threads: usize,
-    shards: Option<usize>,
+    shards: usize,
     obs: Obs,
 }
 
@@ -64,7 +64,7 @@ impl PairRunner {
             authority: TrustedAuthority::new(0xCA11_AB1E),
             mac_seed: 0xD15C_0DE5,
             threads: 1,
-            shards: None,
+            shards: 1,
             obs: Obs::disabled(),
         }
     }
@@ -100,13 +100,13 @@ impl PairRunner {
         self
     }
 
-    /// Ingests through a [`ShardedServer`] with `shards` shards instead
-    /// of the monolithic [`CentralServer`]: both period uploads ride a
-    /// single wire-encoded [`BatchUpload`] frame into the sharded path.
-    /// Estimates are bit-identical to the monolithic run — that is the
-    /// sharding layer's core contract (DESIGN.md §15) — so this switch
-    /// exists to exercise the batch ingestion path end to end from the
-    /// accuracy experiments, not to change results.
+    /// Decodes on a [`ShardedServer`] with `shards` shards (default 1,
+    /// the monolithic server). Both period uploads always ride a single
+    /// wire-encoded [`BatchUpload`] frame; estimates are bit-identical at
+    /// every shard count — that is the server's core contract
+    /// (DESIGN.md §15) — so this switch exists to exercise cross-shard
+    /// routing end to end from the accuracy experiments, not to change
+    /// results.
     ///
     /// # Panics
     ///
@@ -114,7 +114,7 @@ impl PairRunner {
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
-        self.shards = Some(shards);
+        self.shards = shards;
         self
     }
 
@@ -198,33 +198,19 @@ impl PairRunner {
             self.ingest(&rsu_b, &reports_b)?;
         }
 
-        let uploads: Vec<PeriodUpload> = [&rsu_a, &rsu_b].map(|rsu| rsu.upload()).into();
-        for upload in &uploads {
-            metrics.record_upload(upload);
+        let frames: Vec<SequencedUpload> = [&rsu_a, &rsu_b]
+            .map(|rsu| SequencedUpload {
+                seq: 0,
+                upload: rsu.upload(),
+            })
+            .into();
+        for frame in &frames {
+            metrics.record_upload(&frame.upload);
         }
-        let estimate = match self.shards {
-            None => {
-                let mut server =
-                    CentralServer::new(self.scheme.clone(), 1.0)?.with_obs(self.obs.clone());
-                for upload in &uploads {
-                    server.receive_wire(&upload.encode_compact())?;
-                }
-                server.estimate_or_clamp(self.rsu_a, self.rsu_b)?
-            }
-            Some(shards) => {
-                let mut server = ShardedServer::new(self.scheme.clone(), 1.0, shards)?
-                    .with_obs(self.obs.clone());
-                let frames: Vec<SequencedUpload> = uploads
-                    .iter()
-                    .map(|upload| SequencedUpload {
-                        seq: 0,
-                        upload: upload.clone(),
-                    })
-                    .collect();
-                server.receive_wire(&BatchUpload::new(frames)?.encode())?;
-                server.estimate_or_clamp(self.rsu_a, self.rsu_b)?
-            }
-        };
+        let mut server =
+            ShardedServer::new(self.scheme.clone(), 1.0, self.shards)?.with_obs(self.obs.clone());
+        server.receive_wire(&BatchUpload::new(frames)?.encode())?;
+        let estimate = server.estimate_or_clamp(self.rsu_a, self.rsu_b)?;
         metrics.record_into(&self.obs);
         Ok((
             PairOutcome {

@@ -1,31 +1,28 @@
-//! Sharded ingestion server: [`ShardedServer`] partitions RSUs across
-//! `K` independent [`CentralServer`] shards by a stable hash of the RSU
-//! id, so receive-side state (dedup sequence numbers, uploads, decode
+//! The server (paper §II-A, §IV-C): [`ShardedServer`] partitions RSUs
+//! across `K` independent shards by a stable hash of the RSU id, so
+//! receive-side state (dedup sequence numbers, uploads, sparse index
 //! caches) never needs cross-shard coordination — two uploads race only
 //! if they are for the same RSU, and same-RSU uploads always land on the
-//! same shard.
+//! same shard. With `K = 1` it is the paper's single central server;
+//! every other shard count answers bit-identically to it.
 //!
-//! The read side composes shards without copying: a pair estimate for
-//! RSUs owned by different shards borrows both shards' uploads and
-//! sparse index caches through
-//! [`CentralServer::pair_counts_across`], the *same* decode the
-//! monolithic server runs on itself, so the sharded answer is
-//! bit-identical to the unsharded one by construction — there is one
-//! decode code path, not two. The differential conformance suite
-//! (`tests/sharded_differential.rs`) verifies this equivalence end to
-//! end for estimates, O–D matrices, and registry counters at every
-//! shard/thread count, with and without injected faults.
+//! The read side composes shards without copying: a pair query
+//! prefetches each side's upload, sparse index list and history from
+//! its owning shard and runs the one decode over those references,
+//! wherever the two RSUs live. The differential conformance suite
+//! (`tests/sharded_differential.rs`) verifies shard-count invariance end
+//! to end for estimates, O–D matrices, and registry counters at every
+//! shard/thread count, with and without injected faults, and checks
+//! every measured pair against the dense Eq. 5 over the held uploads.
 //!
-//! Instrumentation follows the same single-registry principle: every
-//! shard carries a *disabled* [`Obs`] handle and the composite owns the
-//! real one, firing exactly the counters the monolith fires (plus its
-//! own `shard.*` / `batch.*` series, which the differential suite
-//! strips before comparing).
+//! Instrumentation goes through one handle on the composite; beyond the
+//! receive, kernel and phase series it adds its own `shard.*` /
+//! `batch.*` counters and the `shard.count` gauge, which the
+//! differential suite strips before comparing shard counts.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::RwLock;
 
-use vcps_bitarray::DecodeScratch;
 use vcps_core::estimator::{
     estimate_from_counts, estimate_from_counts_or_clamp, Estimate, PairCounts,
 };
@@ -38,10 +35,10 @@ use crate::protocol::{
     UploadFrameRef,
 };
 use crate::server::{
-    od_effective_threads, pair_counts_prefetched, receive_counter_name, with_thread_scratch,
-    RsuDecodeRef,
+    od_effective_threads, pair_counts_prefetched, pair_estimate, with_thread_scratch, RsuDecodeRef,
+    Shard,
 };
-use crate::{CentralServer, OdMatrix, ReceiveOutcome, SimError};
+use crate::{OdMatrix, ReceiveOutcome, SimError};
 
 /// Stable shard assignment: which of `shard_count` shards owns `rsu`.
 ///
@@ -55,18 +52,26 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
     (splitmix64(rsu.0) % shard_count as u64) as usize
 }
 
-/// A server sharded over `K` independent [`CentralServer`]s (one per
-/// hash bucket of RSU ids), answering exactly like a single monolithic
-/// server would.
+/// The central server, sharded over `K` hash buckets of RSU ids:
+/// collects [`PeriodUpload`]s, answers point-to-point queries for
+/// arbitrary RSU pairs, and at period end updates the per-RSU volume
+/// history and recomputes next-period array sizes (the "first updates
+/// the history average … then measures" loop of §IV-C). Answers never
+/// depend on `K`; `K = 1` is the paper's monolithic server.
 ///
 /// * **Writes** ([`receive_wire`], [`receive`], [`receive_sequenced`],
 ///   [`receive_parallel`]) route each upload to the owning shard; the
 ///   parallel form runs one worker per shard over disjoint `&mut`
 ///   shards, lock-free.
 /// * **Reads** ([`estimate`], [`estimate_or_degraded`], [`od_matrix`])
-///   borrow the owning shards' uploads and decode caches through the
-///   monolith's own cross-holder decode, plus a composite-level pair
-///   memo so repeated queries stay O(1) exactly like the monolith's.
+///   borrow the owning shards' uploads and sparse index caches, plus a
+///   pair memo so repeated queries are O(1) after first touch.
+///
+/// Under fault injection ([`crate::faults`]) the server deduplicates
+/// re-sent uploads by sequence number and, when an RSU's upload never
+/// arrives, degrades gracefully: [`estimate_or_degraded`] falls back to
+/// the volume history and answers with an explicit
+/// [`PairEstimate::Degraded`] instead of failing.
 ///
 /// [`receive`]: ShardedServer::receive
 /// [`receive_sequenced`]: ShardedServer::receive_sequenced
@@ -89,25 +94,27 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 /// for rsu in 1..=2u64 {
 ///     server.receive(PeriodUpload {
 ///         rsu: RsuId(rsu),
-///         counter: 2,
-///         bits: BitArray::new(64),
+///         counter: 4,
+///         bits: BitArray::new(16),
 ///     });
 /// }
 /// assert!(server.estimate(RsuId(1), RsuId(2))?.n_c.is_finite());
+/// let sizes = server.finish_period()?;
+/// assert_eq!(sizes[&RsuId(1)], 16); // 4 vehicles × f̄ 3 → next power of two
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct ShardedServer {
     scheme: Scheme,
-    shards: Vec<CentralServer>,
-    /// Composite-level pair memo: the sharded analogue of the monolith's
-    /// per-server memo, covering local and cross-shard pairs alike.
-    /// Invalidated whenever either member RSU re-uploads, cleared at
-    /// period end — the same lifetime the monolith enforces.
+    shards: Vec<Shard>,
+    /// The [`PairCounts`] of every pair already decoded this period,
+    /// local and cross-shard alike. A pair's entry is dropped whenever
+    /// either member RSU's data changes, and the memo is cleared at
+    /// period end, so it never outlives the uploads it came from.
     pair_memo: RwLock<BTreeMap<(RsuId, RsuId), PairCounts>>,
-    /// The composite's (real) observability handle; the shards all carry
-    /// disabled handles so nothing is double-counted.
+    /// Observability handle; disabled unless [`set_obs`](Self::set_obs)
+    /// was called.
     obs: Obs,
 }
 
@@ -123,13 +130,14 @@ impl Clone for ShardedServer {
 }
 
 impl ShardedServer {
-    /// Creates a server sharded `shard_count` ways; `history_alpha` is
-    /// the EWMA smoothing factor, as in [`CentralServer::new`].
+    /// Creates a server sharded `shard_count` ways (1 for the
+    /// monolithic server); `history_alpha` is the EWMA smoothing factor
+    /// for volume history.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Core`] if `shard_count` is zero or
-    /// `history_alpha` is outside `(0, 1]`.
+    /// `history_alpha` is outside `(0, 1]` (NaN included).
     pub fn new(scheme: Scheme, history_alpha: f64, shard_count: usize) -> Result<Self, SimError> {
         if shard_count == 0 {
             return Err(SimError::Core(CoreError::InvalidConfig {
@@ -138,19 +146,25 @@ impl ShardedServer {
             }));
         }
         let shards = (0..shard_count)
-            .map(|_| CentralServer::new(scheme.clone(), history_alpha))
+            .map(|_| Shard::new(history_alpha))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
+        Ok(Self::from_shards(scheme, shards))
+    }
+
+    fn from_shards(scheme: Scheme, shards: Vec<Shard>) -> Self {
+        Self {
             scheme,
             shards,
             pair_memo: RwLock::new(BTreeMap::new()),
             obs: Obs::disabled(),
-        })
+        }
     }
 
-    /// Attaches an observability handle to the composite (the shards
-    /// deliberately keep disabled handles — see the module docs). Also
-    /// publishes the topology as the `shard.count` gauge.
+    /// Attaches an observability handle: receive outcomes, decode phase
+    /// timings, and kernel selections are recorded through it from now
+    /// on. Also publishes the topology as the `shard.count` gauge. The
+    /// default handle is disabled ([`Obs::disabled`]), in which case
+    /// every instrumentation point is a single pointer check.
     pub fn set_obs(&mut self, obs: Obs) {
         obs.gauge("shard.count", self.shards.len() as f64);
         self.obs = obs;
@@ -181,14 +195,14 @@ impl ShardedServer {
         shard_for(rsu, self.shards.len())
     }
 
-    /// The scheme configuration (shared by every shard).
+    /// The scheme configuration.
     #[must_use]
     pub fn scheme(&self) -> &Scheme {
         &self.scheme
     }
 
-    /// Seeds an RSU's historical average on its owning shard (see
-    /// [`CentralServer::seed_history`]).
+    /// Seeds an RSU's historical average (e.g. from past traffic
+    /// studies) before the first period.
     pub fn seed_history(&mut self, rsu: RsuId, average: f64) {
         let shard = self.shard_of(rsu);
         self.shards[shard].seed_history(rsu, average);
@@ -208,7 +222,7 @@ impl ShardedServer {
     /// Total uploads currently held across all shards.
     #[must_use]
     pub fn upload_count(&self) -> usize {
-        self.shards.iter().map(CentralServer::upload_count).sum()
+        self.shards.iter().map(Shard::upload_count).sum()
     }
 
     /// The upload currently held for `rsu`, if any.
@@ -218,29 +232,33 @@ impl ShardedServer {
     }
 
     /// Captures every shard's durable state as a [`CheckpointSet`]
-    /// covering `frames_applied` WAL records (see
-    /// [`CentralServer::checkpoint`] for what each snapshot carries and
-    /// omits). Shards appear in shard order, so the set restores under
+    /// covering `frames_applied` WAL records: per shard, history,
+    /// accepted sequence numbers, and the open period's uploads. Derived
+    /// state (sparse caches, the pair memo, the observability handle) is
+    /// excluded. Shards appear in shard order, so the set restores under
     /// the same topology only — which is the point: the shard count is
     /// part of the deployment's identity.
     #[must_use]
     pub fn checkpoint(&self, frames_applied: u64) -> CheckpointSet {
         CheckpointSet {
             frames_applied,
-            shards: self.shards.iter().map(CentralServer::checkpoint).collect(),
+            shards: self.shards.iter().map(Shard::checkpoint).collect(),
         }
     }
 
-    /// Rebuilds a sharded server from a [`CheckpointSet`] and the
-    /// deployment's scheme. The composite pair memo starts empty (it is
-    /// derived state) and the observability handle starts disabled,
+    /// Rebuilds a server from a [`CheckpointSet`] and the deployment's
+    /// scheme (checkpoints deliberately do not carry the scheme: a
+    /// snapshot is only meaningful to the deployment that wrote it).
+    /// Sparse caches are re-derived from the restored uploads; the pair
+    /// memo starts empty and the observability handle starts disabled,
     /// exactly as after [`ShardedServer::new`] — re-attach with
     /// [`set_obs`](Self::set_obs).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Core`] if the set holds no shards, or
-    /// propagates [`CentralServer::restore_from_checkpoint`] failures.
+    /// Returns [`SimError::Core`] if the set holds no shards or a
+    /// shard's alpha is outside `(0, 1]` (possible only for hand-built
+    /// checkpoints — the wire decoder already rejects it).
     pub fn restore_from_checkpoint(scheme: Scheme, set: &CheckpointSet) -> Result<Self, SimError> {
         if set.shards.is_empty() {
             return Err(SimError::Core(CoreError::InvalidConfig {
@@ -251,18 +269,20 @@ impl ShardedServer {
         let shards = set
             .shards
             .iter()
-            .map(|c| CentralServer::restore_from_checkpoint(scheme.clone(), c))
+            .map(Shard::restore_from_checkpoint)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            scheme,
-            shards,
-            pair_memo: RwLock::new(BTreeMap::new()),
-            obs: Obs::disabled(),
-        })
+        Ok(Self::from_shards(scheme, shards))
     }
 
-    /// Routes one period upload to its owning shard (the sharded
-    /// [`CentralServer::receive`] — same classification, same outcome).
+    /// Stores one RSU's period upload on its owning shard, reporting how
+    /// it related to any upload already held for that RSU: [`Fresh`]
+    /// (first), [`Duplicate`] (identical re-send, discarded), or
+    /// [`Conflicting`] (different content — replaces the stored upload,
+    /// but flagged).
+    ///
+    /// [`Fresh`]: ReceiveOutcome::Fresh
+    /// [`Duplicate`]: ReceiveOutcome::Duplicate
+    /// [`Conflicting`]: ReceiveOutcome::Conflicting
     pub fn receive(&mut self, upload: PeriodUpload) -> ReceiveOutcome {
         let rsu = upload.rsu;
         let shard = self.shard_of(rsu);
@@ -270,8 +290,14 @@ impl ShardedServer {
         self.note_receive(rsu, outcome)
     }
 
-    /// Routes one sequence-numbered upload to its owning shard (the
-    /// sharded [`CentralServer::receive_sequenced`]).
+    /// Stores a sequence-numbered upload from the retrying upload path
+    /// ([`crate::faults::upload_with_retry`]) on its owning shard.
+    ///
+    /// Sequence numbers are per-RSU and monotone across periods (the
+    /// engine uses the period index), which lets the server tell a
+    /// harmless retransmission ([`ReceiveOutcome::Duplicate`]) from a
+    /// straggler of an already-closed period ([`ReceiveOutcome::Stale`])
+    /// — the latter must not resurrect as the *current* period's data.
     pub fn receive_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
         let rsu = sequenced.upload.rsu;
         let shard = self.shard_of(rsu);
@@ -280,9 +306,15 @@ impl ShardedServer {
     }
 
     /// [`receive_sequenced`](Self::receive_sequenced) over a borrowed
-    /// wire view: routed to the owning shard's
-    /// [`CentralServer::receive_sequenced_ref`], so stale and duplicate
-    /// frames are classified without materializing anything.
+    /// wire view — the zero-copy ingest path (DESIGN.md §18).
+    ///
+    /// Verdict logic is identical; the difference is allocation
+    /// discipline: stale and duplicate frames (the retransmission
+    /// steady state) are classified without materializing anything —
+    /// duplicate detection compares the view against the stored upload
+    /// via [`crate::protocol::PeriodUploadRef::matches`] — and only a
+    /// fresh or conflicting frame pays
+    /// [`crate::protocol::PeriodUploadRef::to_owned_upload`].
     pub fn receive_sequenced_ref(&mut self, frame: &SequencedUploadRef<'_>) -> ReceiveOutcome {
         let rsu = frame.upload().rsu();
         let shard = self.shard_of(rsu);
@@ -305,9 +337,10 @@ impl ShardedServer {
     }
 
     /// Validates one upload wire frame of any tag (see
-    /// [`UploadFrameRef`]) and routes it: the sharded
-    /// [`CentralServer::receive_wire`] — same outcomes, same registry
-    /// counters, plus the composite's `shard.*` / `batch.*` series.
+    /// [`UploadFrameRef`]) and ingests it: a bare upload through
+    /// [`receive`](Self::receive), a sequenced one through
+    /// [`receive_sequenced_ref`](Self::receive_sequenced_ref), a batch
+    /// frame by frame in its canonical order.
     ///
     /// # Errors
     ///
@@ -369,7 +402,7 @@ impl ShardedServer {
             &mut self.shards,
             buckets,
             threads,
-            |shard: &mut CentralServer, bucket: Vec<(usize, SequencedUpload)>| {
+            |shard: &mut Shard, bucket: Vec<(usize, SequencedUpload)>| {
                 bucket
                     .into_iter()
                     .map(|(index, sequenced)| {
@@ -389,12 +422,17 @@ impl ShardedServer {
         outcomes
     }
 
-    /// Records one routed receive: fires the same registry counter the
-    /// monolith fires (plus `shard.routed`) and invalidates the
-    /// composite pair memo when the RSU's data changed.
+    /// Records one routed receive (`shard.routed` plus the outcome's
+    /// `server.receive.*` counter) and invalidates the pair memo when
+    /// the RSU's data changed.
     fn note_receive(&mut self, rsu: RsuId, outcome: ReceiveOutcome) -> ReceiveOutcome {
         self.obs.inc("shard.routed");
-        self.obs.inc(receive_counter_name(outcome));
+        self.obs.inc(match outcome {
+            ReceiveOutcome::Fresh => "server.receive.fresh",
+            ReceiveOutcome::Duplicate => "server.receive.duplicate",
+            ReceiveOutcome::Conflicting => "server.receive.conflicting",
+            ReceiveOutcome::Stale => "server.receive.stale",
+        });
         if matches!(outcome, ReceiveOutcome::Fresh | ReceiveOutcome::Conflicting) {
             self.pair_memo
                 .get_mut()
@@ -404,33 +442,43 @@ impl ShardedServer {
         outcome
     }
 
-    /// Decodes one pair straight from the owning shards — the sharded
-    /// form of the monolith's uncached decode, dispatching to
-    /// [`CentralServer::pair_counts_across`] with the two holders (which
-    /// coincide for a shard-local pair).
-    fn pair_counts_uncached(
-        &self,
-        a: RsuId,
-        b: RsuId,
-        scratch: &mut DecodeScratch,
-    ) -> Result<PairCounts, SimError> {
-        let (sa, sb) = (self.shard_of(a), self.shard_of(b));
-        self.obs.inc(if sa == sb {
-            "shard.local_pair"
-        } else {
-            "shard.cross_pair"
-        });
-        self.shards[sa].pair_counts_across(&self.shards[sb], a, b, scratch, &self.obs)
+    /// The one entry every pair query goes through: rejects a self pair
+    /// (an RSU's overlap with itself is its own counter, not an O–D
+    /// flow, so Eq. 5 has no meaning there — the O–D matrix diagonal is
+    /// `None` for the same reason), then prefetches each side from its
+    /// owning shard.
+    fn pair(&self, a: RsuId, b: RsuId) -> Result<[RsuDecodeRef<'_>; 2], SimError> {
+        if a == b {
+            return Err(SimError::Core(CoreError::InvalidParams {
+                parameter: "pair",
+                reason: format!("needs two distinct RSUs, got {a} twice"),
+            }));
+        }
+        Ok([a, b].map(|rsu| self.shards[self.shard_of(rsu)].prefetch_decode_ref(rsu)))
     }
 
-    /// [`pair_counts_uncached`](Self::pair_counts_uncached) behind the
-    /// composite memo, mirroring [`CentralServer`]'s memoized path.
-    fn pair_counts(&self, a: RsuId, b: RsuId) -> Result<PairCounts, SimError> {
-        let key = if a <= b { (a, b) } else { (b, a) };
+    /// One pair's sufficient statistics behind the pair memo: the first
+    /// query for a pair decodes it, every repeat is a map lookup.
+    fn pair_counts(
+        &self,
+        a: &RsuDecodeRef<'_>,
+        b: &RsuDecodeRef<'_>,
+    ) -> Result<PairCounts, SimError> {
+        let key = if a.rsu <= b.rsu {
+            (a.rsu, b.rsu)
+        } else {
+            (b.rsu, a.rsu)
+        };
         if let Some(counts) = self.pair_memo.read().expect("pair memo poisoned").get(&key) {
             return Ok(*counts);
         }
-        let counts = with_thread_scratch(|s| self.pair_counts_uncached(a, b, s))?;
+        self.obs
+            .inc(if self.shard_of(a.rsu) == self.shard_of(b.rsu) {
+                "shard.local_pair"
+            } else {
+                "shard.cross_pair"
+            });
+        let counts = with_thread_scratch(|s| pair_counts_prefetched(a, b, s, &self.obs))?;
         self.pair_memo
             .write()
             .expect("pair memo poisoned")
@@ -438,47 +486,64 @@ impl ShardedServer {
         Ok(counts)
     }
 
-    /// Estimates the point-to-point volume between two uploaded RSUs,
-    /// bit-identical to [`CentralServer::estimate`] on the same uploads.
+    /// Estimates the point-to-point volume between two uploaded RSUs
+    /// (paper Eq. 5).
+    ///
+    /// The pair's sufficient statistics are decoded once and memoized
+    /// for the rest of the period, so repeated queries are O(1) after
+    /// first touch.
     ///
     /// # Errors
     ///
-    /// As [`CentralServer::estimate`].
+    /// * [`SimError::MissingUpload`] if either RSU has not uploaded;
+    /// * [`SimError::Core`] for a self pair (`a == b`), saturation, or
+    ///   incompatible sizes.
     pub fn estimate(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
+        let [a, b] = self.pair(a, b)?;
         Ok(estimate_from_counts(
-            &self.pair_counts(a, b)?,
+            &self.pair_counts(&a, &b)?,
             self.scheme.s(),
         )?)
     }
 
     /// Like [`estimate`](Self::estimate) but clamps saturated zero
-    /// counts, as [`CentralServer::estimate_or_clamp`].
+    /// counts instead of failing.
     ///
     /// # Errors
     ///
-    /// As [`CentralServer::estimate_or_clamp`].
+    /// * [`SimError::MissingUpload`] if either RSU has not uploaded;
+    /// * [`SimError::Core`] for a self pair or incompatible sizes.
     pub fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
+        let [a, b] = self.pair(a, b)?;
         Ok(estimate_from_counts_or_clamp(
-            &self.pair_counts(a, b)?,
+            &self.pair_counts(&a, &b)?,
             self.scheme.s(),
         )?)
     }
 
-    /// Answers a pair query with the monolith's exact degradation
-    /// ladder ([`CentralServer::estimate_or_degraded`]), each side's
-    /// upload and history read from its owning shard.
+    /// Answers a pair query even when uploads are missing: full decode
+    /// when both sketches are present ([`PairEstimate::Measured`]),
+    /// otherwise a history-backed fallback ([`PairEstimate::Degraded`])
+    /// that brackets the overlap with the feasible interval
+    /// `[0, min(n̄_x, n̄_y)]`.
+    ///
+    /// A present side contributes its measured counter; a missing side
+    /// contributes its EWMA volume history.
     ///
     /// # Errors
     ///
-    /// As [`CentralServer::estimate_or_degraded`].
+    /// Returns [`SimError::Core`] for a self pair (`a == b`), and
+    /// [`SimError::MissingUpload`] only when a side has *neither* an
+    /// upload nor any volume history — the server knows nothing at all
+    /// about that RSU.
     pub fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
-        let (sa, sb) = (self.shard_of(a), self.shard_of(b));
-        self.shards[sa]
-            .estimate_or_degraded_across(&self.shards[sb], a, b, || self.pair_counts(a, b))
+        let [a, b] = self.pair(a, b)?;
+        pair_estimate(&self.scheme, &a, &b, || self.pair_counts(&a, &b))
     }
 
-    /// The full origin–destination matrix over every RSU any shard
-    /// knows about, with one worker per available core (see
+    /// Computes the full origin–destination matrix for every RSU any
+    /// shard knows about — current uploads and volume history alike —
+    /// with one worker per available core (see
     /// [`od_matrix_threads`](Self::od_matrix_threads)).
     ///
     /// # Errors
@@ -488,15 +553,30 @@ impl ShardedServer {
         self.od_matrix_threads(crate::concurrent::default_threads())
     }
 
-    /// [`od_matrix`](Self::od_matrix) with an explicit worker count —
-    /// the same fan-out as [`CentralServer::od_matrix_threads`] (same
-    /// RSU discovery, same pair triangle, same per-RSU prefetch, same
-    /// sequential-fallback threshold, same memo bypass), with each
-    /// pair's prefetched state drawn from its owning shard.
+    /// [`od_matrix`](Self::od_matrix) with an explicit worker count.
+    ///
+    /// The pair triangle fans out through
+    /// [`parallel_map_threads`](crate::concurrent::parallel_map_threads)
+    /// — persistent-pool workers claiming index ranges of the triangle
+    /// in cache-friendly chunks (consecutive pairs share their `i`-side
+    /// upload). Each RSU's upload reference, sparse index list and
+    /// history are prefetched *once* from its owning shard before the
+    /// fan-out, so the per-pair work is pure kernel time with no map
+    /// lookups; each worker reuses one decode scratch across all its
+    /// pairs. When the estimated triangle work is too small to repay a
+    /// pool dispatch, the whole triangle runs inline on the caller —
+    /// small matrices can never lose to the 1-thread path. Entries are
+    /// exactly what [`estimate_or_degraded`](Self::estimate_or_degraded)
+    /// returns for the pair — measured where both uploads are decodable,
+    /// degraded where history must fill in. The batch path deliberately
+    /// bypasses the pair memo: it never re-reads a pair, and N²/2 lock
+    /// round-trips would serialize the workers.
     ///
     /// # Errors
     ///
-    /// As [`CentralServer::od_matrix_threads`].
+    /// Returns [`SimError::MissingUpload`] if some covered pair has a
+    /// side with neither an upload nor history (cannot happen for RSUs
+    /// discovered from those two sources — defensive only).
     ///
     /// # Panics
     ///
@@ -525,35 +605,58 @@ impl ShardedServer {
             .zip(&shard_idx)
             .map(|(&rsu, &s)| self.shards[s].prefetch_decode_ref(rsu))
             .collect();
+        if self.obs.is_enabled() {
+            self.note_pair_locality(&pre, &shard_idx);
+        }
         let threads = od_effective_threads(threads, &pre, pairs.len());
         let computed =
             crate::concurrent::parallel_map_threads(pairs.clone(), threads, |&(i, j)| {
                 let (a, b) = (&pre[i], &pre[j]);
-                a.holder.estimate_or_degraded_prefetched(a, b, || {
-                    self.obs.inc(if shard_idx[i] == shard_idx[j] {
-                        "shard.local_pair"
-                    } else {
-                        "shard.cross_pair"
-                    });
+                pair_estimate(&self.scheme, a, b, || {
                     with_thread_scratch(|s| pair_counts_prefetched(a, b, s, &self.obs))
                 })
             });
         OdMatrix::from_pair_estimates(rsus, &pairs, computed)
     }
 
-    /// Ends the period on every shard and merges the (disjoint) per-RSU
-    /// next-period sizes — exactly the map the monolith's
-    /// [`CentralServer::finish_period`] would return for the union of
-    /// the shards' state.
+    /// Counts an O–D matrix's decoded pairs as `shard.local_pair` (both
+    /// RSUs on one shard) or `shard.cross_pair` in closed form from the
+    /// shard-index table, instead of one registry update per pair: with
+    /// `d_k` decodable RSUs on shard `k` and `D = Σ d_k`, local pairs are
+    /// `Σ d_k(d_k − 1)/2` and cross pairs the rest of `D(D − 1)/2`.
+    fn note_pair_locality(&self, pre: &[RsuDecodeRef<'_>], shard_idx: &[usize]) {
+        let mut decodable = vec![0u64; self.shards.len()];
+        for (d, &s) in pre.iter().zip(shard_idx) {
+            if d.decodable().is_ok() {
+                decodable[s] += 1;
+            }
+        }
+        let pairs_among = |d: u64| d * d.saturating_sub(1) / 2;
+        let local: u64 = decodable.iter().map(|&d| pairs_among(d)).sum();
+        let cross = pairs_among(decodable.iter().sum()) - local;
+        for (name, count) in [("shard.local_pair", local), ("shard.cross_pair", cross)] {
+            if count > 0 {
+                self.obs.add(name, count);
+            }
+        }
+    }
+
+    /// Ends the period: folds every upload's counter into its shard's
+    /// volume history, clears the uploads and every cache derived from
+    /// them, and returns the array size each RSU should use next period
+    /// (the shards' disjoint maps, merged).
+    ///
+    /// Sequence-number bookkeeping survives, so stragglers from the
+    /// closed period are still recognized as stale.
     ///
     /// # Errors
     ///
-    /// As [`CentralServer::finish_period`].
+    /// Returns [`SimError::Core`] if a size computation fails.
     pub fn finish_period(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
         self.obs.inc("server.finish_period.calls");
         let mut sizes = BTreeMap::new();
         for shard in &mut self.shards {
-            sizes.append(&mut shard.finish_period()?);
+            sizes.append(&mut shard.finish_period(&self.scheme)?);
         }
         self.pair_memo
             .get_mut()
@@ -585,14 +688,14 @@ mod tests {
         Scheme::variable(2, 3.0, 1).unwrap()
     }
 
-    fn servers(shards: usize) -> (CentralServer, ShardedServer) {
+    fn servers(shards: usize) -> (ShardedServer, ShardedServer) {
         (
-            CentralServer::new(scheme(), 0.5).unwrap(),
+            ShardedServer::new(scheme(), 0.5, 1).unwrap(),
             ShardedServer::new(scheme(), 0.5, shards).unwrap(),
         )
     }
 
-    fn feed_both(mono: &mut CentralServer, sharded: &mut ShardedServer, rsus: u64) {
+    fn feed_both(mono: &mut ShardedServer, sharded: &mut ShardedServer, rsus: u64) {
         for r in 0..rsus {
             let ones: Vec<usize> = (0..(r as usize * 5) % 9)
                 .map(|k| (k * 13 + 2) % 64)
@@ -817,7 +920,7 @@ mod tests {
     fn composite_counters_match_monolith_modulo_shard_series() {
         let obs_mono = Obs::enabled(vcps_obs::Level::Info);
         let obs_shard = Obs::enabled(vcps_obs::Level::Info);
-        let mut mono = CentralServer::new(scheme(), 0.5)
+        let mut mono = ShardedServer::new(scheme(), 0.5, 1)
             .unwrap()
             .with_obs(obs_mono.clone());
         let mut sharded = ShardedServer::new(scheme(), 0.5, 4)
@@ -830,8 +933,477 @@ mod tests {
         let _ = sharded.od_matrix_threads(2).unwrap();
         mono.finish_period().unwrap();
         sharded.finish_period().unwrap();
-        let mut counters = obs_shard.snapshot().counters;
-        counters.retain(|name, _| !name.starts_with("shard.") && !name.starts_with("batch."));
-        assert_eq!(counters, obs_mono.snapshot().counters);
+        let strip = |obs: &Obs| {
+            let mut counters = obs.snapshot().counters;
+            counters.retain(|name, _| !name.starts_with("shard.") && !name.starts_with("batch."));
+            counters
+        };
+        assert_eq!(strip(&obs_shard), strip(&obs_mono));
+    }
+
+    fn server() -> ShardedServer {
+        ShardedServer::new(scheme(), 0.5, 1).unwrap()
+    }
+
+    #[test]
+    fn new_rejects_out_of_range_alpha() {
+        let scheme = Scheme::variable(2, 3.0, 1).unwrap();
+        for alpha in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            let err = ShardedServer::new(scheme.clone(), alpha, 1);
+            assert!(err.is_err(), "alpha {alpha} must be rejected");
+        }
+        assert!(ShardedServer::new(scheme.clone(), 1.0, 1).is_ok());
+        assert!(ShardedServer::new(scheme, 0.01, 1).is_ok());
+    }
+
+    #[test]
+    fn estimate_requires_uploads() {
+        let server = server();
+        assert_eq!(
+            server.estimate(RsuId(1), RsuId(2)),
+            Err(SimError::MissingUpload { rsu: RsuId(1) })
+        );
+    }
+
+    #[test]
+    fn estimate_decodes_uploaded_pair() {
+        let mut server = server();
+        server.receive(upload(1, 64, &[1, 5], 2));
+        server.receive(upload(2, 256, &[1, 70], 2));
+        let e = server.estimate(RsuId(1), RsuId(2)).unwrap();
+        assert!(e.n_c.is_finite());
+        assert_eq!(e.m_x, 64);
+        assert_eq!(e.m_y, 256);
+    }
+
+    #[test]
+    fn receive_classifies_fresh_duplicate_conflicting() {
+        let mut server = server();
+        assert_eq!(server.receive(upload(1, 64, &[], 2)), ReceiveOutcome::Fresh);
+        assert_eq!(
+            server.receive(upload(1, 64, &[], 2)),
+            ReceiveOutcome::Duplicate
+        );
+        assert_eq!(
+            server.receive(upload(1, 64, &[3], 9)),
+            ReceiveOutcome::Conflicting
+        );
+        // Conflicting content replaced the stored upload.
+        assert_eq!(server.upload(RsuId(1)).unwrap().counter, 9);
+        assert_eq!(server.upload_count(), 1);
+    }
+
+    #[test]
+    fn re_upload_replaces_previous() {
+        let mut server = server();
+        server.receive(upload(1, 64, &[], 2));
+        server.receive(upload(1, 64, &[3], 9));
+        assert_eq!(server.upload_count(), 1);
+        let sizes = server.finish_period().unwrap();
+        // History saw 9, not 2: 9 × 3 = 27 → 32.
+        assert_eq!(sizes[&RsuId(1)], 32);
+    }
+
+    #[test]
+    fn sequenced_uploads_dedup_and_age_out() {
+        let mut server = server();
+        let wrap = |seq, up| SequencedUpload { seq, upload: up };
+        assert_eq!(
+            server.receive_sequenced(wrap(0, upload(1, 64, &[1], 5))),
+            ReceiveOutcome::Fresh
+        );
+        assert_eq!(
+            server.receive_sequenced(wrap(0, upload(1, 64, &[1], 5))),
+            ReceiveOutcome::Duplicate
+        );
+        assert_eq!(
+            server.receive_sequenced(wrap(0, upload(1, 64, &[2], 5))),
+            ReceiveOutcome::Conflicting
+        );
+        // Next period: higher sequence is fresh again…
+        assert_eq!(
+            server.receive_sequenced(wrap(1, upload(1, 64, &[9], 7))),
+            ReceiveOutcome::Fresh
+        );
+        // …and the old sequence is stale, leaving the new data intact.
+        assert_eq!(
+            server.receive_sequenced(wrap(0, upload(1, 64, &[1], 5))),
+            ReceiveOutcome::Stale
+        );
+        assert_eq!(server.upload(RsuId(1)).unwrap().counter, 7);
+    }
+
+    #[test]
+    fn sequenced_straggler_after_finish_period_is_stale() {
+        let mut server = server();
+        let wrap = |seq, up| SequencedUpload { seq, upload: up };
+        server.receive_sequenced(wrap(3, upload(1, 64, &[1], 5)));
+        server.finish_period().unwrap();
+        assert_eq!(server.upload_count(), 0);
+        // A re-send of the already-folded upload must not resurrect it as
+        // current-period data.
+        assert_eq!(
+            server.receive_sequenced(wrap(3, upload(1, 64, &[1], 5))),
+            ReceiveOutcome::Stale
+        );
+        assert_eq!(server.upload_count(), 0);
+    }
+
+    #[test]
+    fn finish_period_updates_history_and_clears() {
+        let mut server = ShardedServer::new(scheme(), 1.0, 1).unwrap();
+        server.seed_history(RsuId(1), 100.0);
+        server.receive(upload(1, 64, &[], 1000));
+        let sizes = server.finish_period().unwrap();
+        assert_eq!(server.upload_count(), 0);
+        // alpha = 1: history = last observation = 1000 → 3000 → 4096.
+        assert_eq!(sizes[&RsuId(1)], 4096);
+        assert_eq!(server.history_average(RsuId(1)), Some(1000.0));
+    }
+
+    #[test]
+    fn seeded_rsus_get_sizes_without_uploads() {
+        let mut server = server();
+        server.seed_history(RsuId(9), 500.0);
+        let sizes = server.finish_period().unwrap();
+        assert_eq!(sizes[&RsuId(9)], 2048); // 1500 → 2^11
+    }
+
+    #[test]
+    fn fixed_scheme_sizes_are_constant() {
+        let mut server = ShardedServer::new(Scheme::fixed(2, 4096, 1).unwrap(), 0.5, 1).unwrap();
+        server.receive(upload(1, 4096, &[], 10));
+        server.receive(upload(2, 4096, &[], 1_000_000));
+        let sizes = server.finish_period().unwrap();
+        assert!(sizes.values().all(|&m| m == 4096));
+    }
+
+    #[test]
+    fn zero_counter_uploads_estimate_to_zero_overlap() {
+        // Empty arrays and zero counters are a legal (if dull) period:
+        // the decode must produce 0, not NaN or an error.
+        let mut server = server();
+        server.receive(upload(1, 64, &[], 0));
+        server.receive(upload(2, 64, &[], 0));
+        let e = server.estimate(RsuId(1), RsuId(2)).unwrap();
+        assert_eq!(e.n_c, 0.0);
+        assert!(e.n_c.is_finite());
+        let p = server.estimate_or_degraded(RsuId(1), RsuId(2)).unwrap();
+        assert!(!p.is_degraded());
+        assert_eq!(p.n_c(), 0.0);
+    }
+
+    #[test]
+    fn degraded_fallback_uses_history_for_missing_side() {
+        let mut server = server();
+        server.seed_history(RsuId(2), 80.0);
+        server.receive(upload(1, 64, &[1, 2], 50));
+        // RSU 2 never uploaded: degraded answer bounded by min(50, 80).
+        let p = server.estimate_or_degraded(RsuId(1), RsuId(2)).unwrap();
+        assert!(p.is_degraded());
+        assert!(p.measured().is_none());
+        match p {
+            PairEstimate::Degraded(d) => {
+                assert!(!d.missing_x);
+                assert!(d.missing_y);
+                assert_eq!(d.upper, 50.0);
+                assert_eq!(d.lower, 0.0);
+                assert_eq!(d.n_c, 25.0);
+            }
+            PairEstimate::Measured(_) => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn degraded_fallback_with_both_sides_missing() {
+        let mut server = server();
+        server.seed_history(RsuId(1), 40.0);
+        server.seed_history(RsuId(2), 60.0);
+        let p = server.estimate_or_degraded(RsuId(1), RsuId(2)).unwrap();
+        match p {
+            PairEstimate::Degraded(d) => {
+                assert!(d.missing_x && d.missing_y);
+                assert_eq!(d.upper, 40.0);
+            }
+            PairEstimate::Measured(_) => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn degraded_fallback_fails_only_with_no_knowledge_at_all() {
+        let server = server();
+        assert_eq!(
+            server.estimate_or_degraded(RsuId(1), RsuId(2)),
+            Err(SimError::MissingUpload { rsu: RsuId(1) })
+        );
+    }
+
+    #[test]
+    fn repeated_estimates_hit_the_pair_memo() {
+        let mut server = server();
+        server.receive(upload(1, 64, &[1, 5], 2));
+        server.receive(upload(2, 256, &[1, 70], 2));
+        let first = server.estimate(RsuId(1), RsuId(2)).unwrap();
+        assert!(server
+            .pair_memo
+            .read()
+            .unwrap()
+            .get(&(RsuId(1), RsuId(2)))
+            .is_some());
+        // Repeat in both argument orders: same memo entry, same answer.
+        assert_eq!(server.estimate(RsuId(2), RsuId(1)).unwrap(), first);
+        assert_eq!(server.pair_memo.read().unwrap().len(), 1);
+        assert_eq!(server.estimate_or_clamp(RsuId(1), RsuId(2)).unwrap(), first);
+    }
+
+    #[test]
+    fn new_upload_invalidates_only_its_pairs() {
+        let mut server = server();
+        server.receive(upload(1, 64, &[1], 1));
+        server.receive(upload(2, 64, &[2], 1));
+        server.receive(upload(3, 64, &[3], 1));
+        server.estimate(RsuId(1), RsuId(2)).unwrap();
+        server.estimate(RsuId(2), RsuId(3)).unwrap();
+        assert_eq!(server.pair_memo.read().unwrap().len(), 2);
+        // RSU 3 re-uploads: the (2,3) entry must go, (1,2) must stay.
+        server.receive(upload(3, 64, &[3, 9], 2));
+        let memo = server.pair_memo.read().unwrap();
+        assert!(memo.contains_key(&(RsuId(1), RsuId(2))));
+        assert!(!memo.contains_key(&(RsuId(2), RsuId(3))));
+        drop(memo);
+        // And the refreshed pair decodes against the new content.
+        let e = server.estimate(RsuId(2), RsuId(3)).unwrap();
+        assert_eq!(e.n_y, 2);
+    }
+
+    #[test]
+    fn sparse_cache_tracks_the_densify_threshold() {
+        let mut server = server();
+        // 2 ones in 256 bits (4 words): sparse.
+        server.receive(upload(1, 256, &[1, 200], 2));
+        assert_eq!(
+            server.shards[0].prefetch_decode_ref(RsuId(1)).ones,
+            Some(&[1u64, 200][..])
+        );
+        // Re-upload above the threshold: list dropped.
+        server.receive(upload(
+            1,
+            256,
+            &(0..8).map(|i| i * 30).collect::<Vec<_>>(),
+            8,
+        ));
+        assert!(server.shards[0]
+            .prefetch_decode_ref(RsuId(1))
+            .ones
+            .is_none());
+        // finish_period clears everything.
+        server.receive(upload(2, 256, &[7], 1));
+        server.estimate(RsuId(1), RsuId(2)).unwrap();
+        server.finish_period().unwrap();
+        for rsu in [RsuId(1), RsuId(2)] {
+            assert!(server.shards[0].prefetch_decode_ref(rsu).ones.is_none());
+        }
+        assert!(server.pair_memo.read().unwrap().is_empty());
+    }
+
+    #[test]
+    fn od_matrix_matches_pairwise_estimates() {
+        let mut server = server();
+        server.seed_history(RsuId(9), 120.0); // history-only RSU
+        server.receive(upload(1, 64, &[1, 5], 7));
+        server.receive(upload(2, 256, &[1, 70, 200], 9));
+        server.receive(upload(3, 64, &[2], 1));
+        let matrix = server.od_matrix().unwrap();
+        assert_eq!(
+            matrix.rsus(),
+            &[RsuId(1), RsuId(2), RsuId(3), RsuId(9)],
+            "uploads and history-only RSUs are both covered"
+        );
+        assert_eq!(matrix.len(), 4);
+        assert!(!matrix.is_empty());
+        for i in 0..matrix.len() {
+            assert!(matrix.at(i, i).is_none(), "diagonal is undefined");
+            for j in 0..matrix.len() {
+                if i == j {
+                    continue;
+                }
+                let (a, b) = (matrix.rsus()[i], matrix.rsus()[j]);
+                let pairwise = server.estimate_or_degraded(a, b).unwrap();
+                assert_eq!(matrix.at(i, j), Some(&pairwise), "entry ({i}, {j})");
+                assert_eq!(
+                    matrix.at(i, j).map(PairEstimate::transposed).as_ref(),
+                    matrix.at(j, i),
+                    "mirror symmetry up to role swap"
+                );
+                assert_eq!(matrix.get(a, b), Some(&pairwise));
+            }
+        }
+        // The history-only column is degraded, the upload pairs measured.
+        assert!(matrix.get(RsuId(1), RsuId(9)).unwrap().is_degraded());
+        assert!(!matrix.get(RsuId(1), RsuId(2)).unwrap().is_degraded());
+        assert_eq!(matrix.iter_pairs().count(), 6);
+        assert_eq!(matrix.get(RsuId(1), RsuId(1)), None);
+        assert_eq!(matrix.get(RsuId(1), RsuId(77)), None);
+    }
+
+    #[test]
+    fn od_matrix_is_identical_across_thread_counts() {
+        let mut server = server();
+        for r in 0..12u64 {
+            let ones: Vec<usize> = (0..(r as usize * 3) % 7)
+                .map(|k| (k * 11 + 1) % 64)
+                .collect();
+            server.receive(upload(r, 64, &ones, ones.len() as u64));
+        }
+        let reference = server.od_matrix_threads(1).unwrap();
+        for threads in [2, 4, 8] {
+            assert_eq!(server.od_matrix_threads(threads).unwrap(), reference);
+        }
+    }
+
+    #[test]
+    fn od_matrix_of_empty_server_is_empty() {
+        let server = server();
+        let matrix = server.od_matrix().unwrap();
+        assert!(matrix.is_empty());
+        assert_eq!(matrix.iter_pairs().count(), 0);
+    }
+
+    #[test]
+    fn measured_beats_degraded_when_both_uploads_arrive() {
+        let mut server = server();
+        server.seed_history(RsuId(1), 9999.0);
+        server.seed_history(RsuId(2), 9999.0);
+        server.receive(upload(1, 64, &[1, 5], 2));
+        server.receive(upload(2, 256, &[1, 70], 2));
+        let p = server.estimate_or_degraded(RsuId(1), RsuId(2)).unwrap();
+        assert!(!p.is_degraded());
+        assert!(p.measured().is_some());
+    }
+
+    #[test]
+    fn observability_never_changes_answers() {
+        // Obs-on results (estimates and the full O-D matrix) must be
+        // bit-identical to obs-off, across thread counts.
+        let feed = |server: &mut ShardedServer| {
+            for r in 0..10u64 {
+                let ones: Vec<usize> = (0..(r as usize * 5) % 9)
+                    .map(|k| (k * 13 + 2) % 64)
+                    .collect();
+                server.receive(upload(r, 64, &ones, ones.len() as u64 + 1));
+            }
+        };
+        let mut plain = server();
+        feed(&mut plain);
+        let mut observed = server().with_obs(vcps_obs::Obs::enabled(vcps_obs::Level::Trace));
+        feed(&mut observed);
+        assert_eq!(
+            plain.estimate_or_clamp(RsuId(1), RsuId(2)).unwrap(),
+            observed.estimate_or_clamp(RsuId(1), RsuId(2)).unwrap()
+        );
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                plain.od_matrix_threads(threads).unwrap(),
+                observed.od_matrix_threads(threads).unwrap(),
+                "threads = {threads}"
+            );
+        }
+        // Observability never reaches the durable state either.
+        assert_eq!(plain.checkpoint(0), observed.checkpoint(0));
+    }
+
+    #[test]
+    fn obs_records_receive_outcomes_and_kernel_choices() {
+        let mut server = server().with_obs(vcps_obs::Obs::enabled(vcps_obs::Level::Info));
+        server.receive(upload(1, 64, &[1, 5], 2));
+        server.receive(upload(1, 64, &[1, 5], 2)); // duplicate
+        server.receive(upload(1, 64, &[1, 9], 2)); // conflicting
+        server.receive(upload(2, 256, &[3], 1));
+        let _ = server.estimate_or_clamp(RsuId(1), RsuId(2)).unwrap();
+        let _ = server.estimate_or_clamp(RsuId(1), RsuId(2)).unwrap(); // memo hit
+        let snap = server.obs().snapshot();
+        assert_eq!(snap.counters["server.receive.fresh"], 2);
+        assert_eq!(snap.counters["server.receive.duplicate"], 1);
+        assert_eq!(snap.counters["server.receive.conflicting"], 1);
+        // One uncached decode: exactly one kernel counter bump and one
+        // decode phase sample (the memoized repeat records nothing).
+        assert_eq!(
+            snap.counters_with_prefix("kernel.").values().sum::<u64>(),
+            1
+        );
+        assert_eq!(snap.histograms["phase.decode.ns"].count, 1);
+        assert_eq!(snap.counters["phase.decode.calls"], 1);
+    }
+
+    #[test]
+    fn self_pairs_are_rejected_on_every_query_path() {
+        let mut server = server();
+        let ones: Vec<usize> = (0..300).map(|i| i * 3).collect();
+        server.receive(upload(1, 1024, &ones, 400));
+        server.receive(upload(2, 1024, &ones[..100], 120));
+        server.seed_history(RsuId(3), 80.0);
+        let is_pair_error = |e: SimError| {
+            matches!(
+                e,
+                SimError::Core(CoreError::InvalidParams {
+                    parameter: "pair",
+                    ..
+                })
+            )
+        };
+        // An uploaded RSU, a history-only one, and one the server has
+        // never heard of: a self pair is an error whatever is held.
+        for rsu in [RsuId(1), RsuId(3), RsuId(9)] {
+            assert!(is_pair_error(
+                server.estimate_or_degraded(rsu, rsu).unwrap_err()
+            ));
+            assert!(is_pair_error(server.estimate(rsu, rsu).unwrap_err()));
+            assert!(is_pair_error(
+                server.estimate_or_clamp(rsu, rsu).unwrap_err()
+            ));
+        }
+        assert!(server.pair_memo.read().unwrap().is_empty());
+        // Distinct pairs still answer, and the matrix diagonal agrees.
+        assert!(!server
+            .estimate_or_degraded(RsuId(1), RsuId(2))
+            .unwrap()
+            .is_degraded());
+        assert!(server
+            .od_matrix()
+            .unwrap()
+            .get(RsuId(1), RsuId(1))
+            .is_none());
+    }
+
+    #[test]
+    fn od_matrix_counts_pair_locality_once_per_matrix() {
+        let obs = Obs::enabled(vcps_obs::Level::Info);
+        let mut server = ShardedServer::new(scheme(), 0.5, 3)
+            .unwrap()
+            .with_obs(obs.clone());
+        for r in 0..9u64 {
+            server.receive(upload(r, 64, &[r as usize], 1));
+        }
+        server.seed_history(RsuId(20), 50.0); // history only
+        server.seed_history(RsuId(21), 5.0);
+        server.receive(upload(21, 1, &[], 1)); // 1 bit: undecodable
+        let _ = server.od_matrix_threads(2).unwrap();
+        // The per-pair tally the totals must equal: every pair of
+        // decodable RSUs, split by whether one shard owns both.
+        let decodable: Vec<RsuId> = (0..9).map(RsuId).collect();
+        let (mut local, mut cross) = (0u64, 0u64);
+        for (i, &a) in decodable.iter().enumerate() {
+            for &b in &decodable[i + 1..] {
+                if server.shard_of(a) == server.shard_of(b) {
+                    local += 1;
+                } else {
+                    cross += 1;
+                }
+            }
+        }
+        let counters = obs.snapshot().counters;
+        assert_eq!((local, cross), (10, 26)); // 2, 4 and 3 decodable per shard
+        assert_eq!(counters["shard.local_pair"], local);
+        assert_eq!(counters["shard.cross_pair"], cross);
     }
 }

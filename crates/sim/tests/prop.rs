@@ -446,10 +446,10 @@ proptest! {
         ),
         seed in any::<u64>(),
     ) {
-        use vcps_sim::CentralServer;
+        use vcps_sim::ShardedServer;
 
         let scheme = Scheme::variable(2, 3.0, seed).unwrap();
-        let mut server = CentralServer::new(scheme, 0.5).unwrap();
+        let mut server = ShardedServer::new(scheme, 0.5, 1).unwrap();
         for (i, (k, ones, counter, history_only)) in specs.iter().enumerate() {
             let rsu = RsuId(i as u64);
             if *history_only {

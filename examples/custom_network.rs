@@ -7,7 +7,7 @@
 
 use vcps::roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes};
 use vcps::roadnet::{expand_vehicle_trips, tntp};
-use vcps::sim::{CentralServer, PeriodRun, PeriodSettings};
+use vcps::sim::{PeriodRun, PeriodSettings, ShardedServer};
 use vcps::{RsuId, Scheme};
 
 /// A small fictional town: two arterials around a river crossing.
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..PeriodRun::default()
     }
     .run(
-        CentralServer::new(scheme, 1.0)?,
+        ShardedServer::new(scheme, 1.0, 1)?,
         &net,
         &net.free_flow_times(),
         &[&vehicles],

@@ -10,7 +10,7 @@
 use vcps::roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes, turning_movements};
 use vcps::roadnet::expand_vehicle_trips;
 use vcps::roadnet::generate::{gravity_trips, grid_network, GridSpec};
-use vcps::sim::{CentralServer, PeriodRun, PeriodSettings};
+use vcps::sim::{PeriodRun, PeriodSettings, ShardedServer};
 use vcps::{RsuId, Scheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..PeriodRun::default()
     }
     .run(
-        CentralServer::new(scheme, 1.0)?,
+        ShardedServer::new(scheme, 1.0, 1)?,
         &net,
         &net.free_flow_times(),
         &[&vehicles],

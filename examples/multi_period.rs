@@ -10,12 +10,12 @@
 
 use vcps::sim::pki::TrustedAuthority;
 use vcps::sim::protocol::PeriodUpload;
-use vcps::{CentralServer, RsuId, Scheme, SimRsu, SimVehicle, VehicleIdentity};
+use vcps::{RsuId, Scheme, ShardedServer, SimRsu, SimVehicle, VehicleIdentity};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scheme = Scheme::variable(2, 3.0, 11)?;
     let authority = TrustedAuthority::new(99);
-    let mut server = CentralServer::new(scheme.clone(), 0.5)?;
+    let mut server = ShardedServer::new(scheme.clone(), 0.5, 1)?;
 
     // Day 0 history: both RSUs expect 10k vehicles.
     let growing = RsuId(1);
@@ -68,11 +68,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nhistory averages after a week:");
-    for (rsu, avg) in server.history().iter() {
-        println!(
-            "  {rsu}: {avg:.0} vehicles/period -> next m = {}",
-            sizes[&rsu]
-        );
+    for (&rsu, m) in &sizes {
+        let avg = server
+            .history_average(rsu)
+            .expect("sized RSUs have history");
+        println!("  {rsu}: {avg:.0} vehicles/period -> next m = {m}");
     }
     println!("\n(arrays grow and shrink with traffic, keeping the load factor —");
     println!(" and hence both privacy and accuracy — stable at every RSU)");

@@ -9,7 +9,7 @@
 
 use vcps::roadnet::assignment::{all_or_nothing, msa_equilibrium, pair_volumes, point_volumes};
 use vcps::roadnet::{expand_vehicle_trips, sioux_falls};
-use vcps::sim::{CentralServer, PeriodRun, PeriodSettings};
+use vcps::sim::{PeriodRun, PeriodSettings, ShardedServer};
 use vcps::{RsuId, Scheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..PeriodRun::default()
     }
     .run(
-        CentralServer::new(scheme, 1.0)?,
+        ShardedServer::new(scheme, 1.0, 1)?,
         &net,
         &eq.link_times,
         &[&vehicles],

@@ -79,6 +79,6 @@ pub use vcps_hash::{
 pub use vcps_obs::{Level, Obs, Phase, Registry, RegistrySnapshot};
 pub use vcps_roadnet::{RoadNetError, RoadNetwork, TripTable, VehicleTrip};
 pub use vcps_sim::{
-    CentralServer, Channel, FaultPlan, LinkFaults, PairRunner, ReceiveOutcome, RetryPolicy,
+    Channel, FaultPlan, LinkFaults, PairRunner, ReceiveOutcome, RetryPolicy, ShardedServer,
     SimError, SimRsu, SimVehicle,
 };

@@ -1,16 +1,16 @@
 //! Reduced-scale differential conformance suite for the metropolis
 //! continuous-estimation scenario (DESIGN.md §20).
 //!
-//! The metro driver's core contract extends the sharded server's
-//! (`tests/sharded_differential.rs`) to *continuous multi-period*
-//! operation: a metro run streamed through a [`ShardedServer`] as
-//! batch-framed wire uploads must be bit-identical — sliding-window
-//! matrices, array-size trajectories, exchange counts, fault metrics,
-//! undelivered sets, final server state, and observability counters
-//! (modulo the sharded server's own `shard.*` / `batch.*` series) — to
-//! the same run through the monolithic [`CentralServer`], at every
-//! shard count × worker count, under ideal channels and under seeded
-//! fault injection.
+//! The metro driver's core contract extends the server's shard-count
+//! invariance (`tests/sharded_differential.rs`) to *continuous
+//! multi-period* operation: a metro run streamed through a
+//! [`ShardedServer`] as batch-framed wire uploads must be bit-identical
+//! — sliding-window matrices, array-size trajectories, exchange counts,
+//! fault metrics, undelivered sets, final server state, and
+//! observability counters (modulo the sharding layer's own `shard.*` /
+//! `batch.*` series) — to the same run through the one-shard
+//! (monolithic) server, at every shard count × worker count, under
+//! ideal channels and under seeded fault injection.
 //!
 //! Alongside the differential, this suite pins the sliding window's
 //! edge semantics: a window of one is exactly the single-period
@@ -24,8 +24,8 @@ use vcps::hash::splitmix64;
 use vcps::obs::{Level, Obs};
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{
-    build_metro, CentralServer, FaultPlan, LinkFaults, MetroConfig, MetroWorkload, PeriodRun,
-    PeriodSettings, RetryPolicy, RunOutcome, ServerBackend, ShardedServer, SimError, SlidingWindow,
+    build_metro, FaultPlan, LinkFaults, MetroConfig, MetroWorkload, PeriodRun, PeriodSettings,
+    RetryPolicy, RunOutcome, ServerBackend, ShardedServer, SimError, SlidingWindow,
 };
 use vcps::{BitArray, RsuId, Scheme};
 
@@ -33,8 +33,8 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 const ALPHA: f64 = vcps::VolumeHistory::DEFAULT_ALPHA;
 
-/// Strips the sharded server's own progress series, leaving exactly the
-/// counters the monolith also fires.
+/// Strips the sharding layer's own progress series, whose values depend
+/// on the shard count, leaving the counters every shape fires alike.
 fn strip_shard_series(mut counters: BTreeMap<String, u64>) -> BTreeMap<String, u64> {
     counters.retain(|name, _| !name.starts_with("shard.") && !name.starts_with("batch."));
     counters
@@ -106,7 +106,7 @@ fn metro_sharded_run_is_bit_identical_to_monolith() {
     let nodes = workload.net.node_count() as u64;
     let mono_obs = Obs::enabled(Level::Info);
     let mono = drive_metro(
-        CentralServer::new(scheme.clone(), ALPHA)
+        ShardedServer::new(scheme.clone(), ALPHA, 1)
             .expect("monolith")
             .with_obs(mono_obs.clone()),
         &workload,
@@ -114,7 +114,7 @@ fn metro_sharded_run_is_bit_identical_to_monolith() {
         1,
         None,
     );
-    let mono_counters = mono_obs.snapshot().counters;
+    let mono_counters = strip_shard_series(mono_obs.snapshot().counters);
     let mono_pairs = all_pair_estimates(nodes, |a, b| mono.server.estimate_or_degraded(a, b));
 
     for shards in SHARD_COUNTS {
@@ -171,7 +171,7 @@ fn metro_faulty_sharded_run_is_bit_identical_to_monolith() {
     let policy = RetryPolicy::default();
     let mono_obs = Obs::enabled(Level::Info);
     let mono = drive_metro(
-        CentralServer::new(scheme.clone(), ALPHA)
+        ShardedServer::new(scheme.clone(), ALPHA, 1)
             .expect("monolith")
             .with_obs(mono_obs.clone()),
         &workload,
@@ -179,7 +179,7 @@ fn metro_faulty_sharded_run_is_bit_identical_to_monolith() {
         1,
         Some((plan.clone(), policy)),
     );
-    let mono_counters = mono_obs.snapshot().counters;
+    let mono_counters = strip_shard_series(mono_obs.snapshot().counters);
     let mono_pairs = all_pair_estimates(nodes, |a, b| mono.server.estimate_or_degraded(a, b));
 
     for shards in SHARD_COUNTS {
@@ -272,7 +272,7 @@ fn empty_window_is_typed_error_never_nan() {
     );
 }
 
-/// Drives three explicit periods through a [`CentralServer`], withholding
+/// Drives three explicit periods through a one-shard server, withholding
 /// RSU 2's upload in period 1 (the "crash mid-window"), and checks that
 /// the sliding window's per-period entries are *exactly* the
 /// `estimate_or_degraded` answers captured live in each period: degraded
@@ -284,7 +284,7 @@ fn crash_mid_window_degrades_exactly_as_estimate_or_degraded() {
     const PERIODS: u64 = 3;
     const CRASHED: u64 = 2;
     let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
-    let mut server = CentralServer::new(scheme, 0.5).expect("valid alpha");
+    let mut server = ShardedServer::new(scheme, 0.5, 1).expect("valid alpha");
     for r in 0..RSUS {
         server.seed_history(RsuId(r), 40.0);
     }
@@ -351,7 +351,7 @@ fn crash_mid_window_degrades_exactly_as_estimate_or_degraded() {
 fn window_of_one_tracks_the_single_period_estimate() {
     const RSUS: u64 = 4;
     let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
-    let mut server = CentralServer::new(scheme, 0.5).expect("valid alpha");
+    let mut server = ShardedServer::new(scheme, 0.5, 1).expect("valid alpha");
     for r in 0..RSUS {
         server.seed_history(RsuId(r), 30.0);
     }

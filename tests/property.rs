@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use vcps::analysis::{accuracy, privacy, stats, PairParams};
 use vcps::bitarray::{combined_zero_count, combined_zero_count_naive, BitArray, Pow2};
 use vcps::roadnet::{gravity_demand, metro_marginals};
-use vcps::sim::CentralServer;
+use vcps::sim::ShardedServer;
 use vcps::{estimate_pair, RsuId, RsuSketch, Salts, Scheme, VehicleIdentity};
 
 proptest! {
@@ -249,7 +249,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let scheme = Scheme::variable(2, load_factor, seed).unwrap();
-        let mut server = CentralServer::new(scheme.clone(), 0.5).unwrap();
+        let mut server = ShardedServer::new(scheme.clone(), 0.5, 1).unwrap();
         for (node, &h) in history.iter().enumerate() {
             server.seed_history(RsuId(node as u64), h);
         }

@@ -5,7 +5,7 @@ use vcps::roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes};
 use vcps::roadnet::{expand_vehicle_trips, sioux_falls};
 use vcps::sim::pki::TrustedAuthority;
 use vcps::sim::protocol::{BitReport, PeriodUpload, Query};
-use vcps::sim::{CentralServer, MacAddress, PeriodRun, PeriodSettings};
+use vcps::sim::{MacAddress, PeriodRun, PeriodSettings, ShardedServer};
 use vcps::{RsuId, Scheme, SimError, SimRsu, SimVehicle, VehicleIdentity};
 
 #[test]
@@ -108,7 +108,7 @@ fn sioux_falls_period_estimates_track_assignment_ground_truth() {
         ..PeriodRun::default()
     }
     .run(
-        CentralServer::new(scheme, 1.0).unwrap(),
+        ShardedServer::new(scheme, 1.0, 1).unwrap(),
         &net,
         &net.free_flow_times(),
         &[&vehicles],
@@ -145,7 +145,7 @@ fn sioux_falls_period_estimates_track_assignment_ground_truth() {
 #[test]
 fn missing_upload_is_a_typed_error() {
     let scheme = Scheme::variable(2, 3.0, 5).unwrap();
-    let server = vcps::CentralServer::new(scheme, 0.5).unwrap();
+    let server = vcps::ShardedServer::new(scheme, 0.5, 1).unwrap();
     assert_eq!(
         server.estimate(RsuId(1), RsuId(2)),
         Err(SimError::MissingUpload { rsu: RsuId(1) })

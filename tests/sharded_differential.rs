@@ -1,33 +1,42 @@
-//! Differential conformance suite for the sharded batch-ingestion
-//! server (DESIGN.md §15).
+//! Differential conformance suite for the sharded server (DESIGN.md
+//! §15).
 //!
-//! The sharding layer's core contract is that a [`ShardedServer`] is an
-//! *indistinguishable* drop-in for the monolithic [`CentralServer`]:
-//! same pair estimates, same O–D matrices, and same registry counters
-//! (modulo its own `shard.*` / `batch.*` series) at every shard count ×
-//! worker count — under ideal channels and under seeded fault
-//! injection. These properties drive randomized workloads through both
-//! server shapes and assert bit-identity, not approximate agreement.
+//! The server's core contract is shard-count invariance: a
+//! [`ShardedServer`] at any shard count is an *indistinguishable*
+//! drop-in for the one-shard (monolithic) server — same pair estimates,
+//! same O–D matrices, and same registry counters (modulo its own
+//! `shard.*` / `batch.*` series) at every shard count × worker count,
+//! under ideal channels and under seeded fault injection. These
+//! properties drive randomized workloads through every shape and assert
+//! bit-identity, not approximate agreement.
+//!
+//! Because the reference is the same type, the direct-ingestion property
+//! also checks against an oracle that shares no server code: the
+//! workload generator knows every frame's dedup verdict, and every
+//! measured pair must equal the dense Eq. 5 decode
+//! ([`estimate_pair_or_clamp`]) over the uploads that verdict says are
+//! held — no sparse kernels, memo, prefetch or routing.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use vcps::core::estimator::estimate_pair_or_clamp;
 use vcps::hash::splitmix64;
 use vcps::obs::{Level, Obs};
 use vcps::roadnet::{Link, RoadNetwork, VehicleTrip};
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{
-    CentralServer, FaultPlan, LinkFaults, PeriodRun, PeriodSettings, RetryPolicy, RunOutcome,
+    FaultPlan, LinkFaults, PeriodRun, PeriodSettings, ReceiveOutcome, RetryPolicy, RunOutcome,
     ServerBackend, ShardedServer,
 };
-use vcps::{BitArray, RsuId, Scheme};
+use vcps::{BitArray, PairEstimate, RsuId, RsuSketch, Scheme};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Strips the sharded server's own progress series, leaving exactly the
-/// counters the monolith also fires.
+/// Strips the sharding layer's own progress series, whose values depend
+/// on the shard count, leaving the counters every shape fires alike.
 fn strip_shard_series(mut counters: BTreeMap<String, u64>) -> BTreeMap<String, u64> {
     counters.retain(|name, _| !name.starts_with("shard.") && !name.starts_with("batch."));
     counters
@@ -59,8 +68,9 @@ fn run_period<S: ServerBackend>(
 /// A deterministic pseudo-random period workload: one sequenced upload
 /// per RSU (power-of-two array sizes from 64 to 1024 bits, varying fill
 /// and sequence numbers) plus seed-derived re-sends that exercise the
-/// duplicate / conflicting / stale dedup outcomes.
-fn workload(rsus: u64, seed: u64) -> Vec<SequencedUpload> {
+/// duplicate / conflicting / stale dedup outcomes — each frame paired
+/// with the verdict it must get.
+fn workload(rsus: u64, seed: u64) -> Vec<(SequencedUpload, ReceiveOutcome)> {
     let mut frames = Vec::new();
     for r in 1..=rsus {
         let h = splitmix64(seed ^ r);
@@ -71,51 +81,84 @@ fn workload(rsus: u64, seed: u64) -> Vec<SequencedUpload> {
             (0..ones).map(|i| (splitmix64(h ^ i) % m as u64) as usize),
         )
         .expect("indices in range");
-        frames.push(SequencedUpload {
+        let first = SequencedUpload {
             seq: h % 3,
             upload: PeriodUpload {
                 rsu: RsuId(r),
                 counter: bits.count_ones() as u64 + h % 7,
                 bits,
             },
-        });
+        };
+        frames.push((first, ReceiveOutcome::Fresh));
     }
     for r in 1..=rsus {
         let h = splitmix64(seed ^ r ^ 0xD1FF);
-        let mut resend = frames[(r - 1) as usize].clone();
-        match h % 4 {
+        let mut resend = frames[(r - 1) as usize].0.clone();
+        let verdict = match h % 4 {
             0 => continue,
-            1 => {}                          // identical re-send -> Duplicate
-            2 => resend.upload.counter ^= 1, // same seq, new content -> Conflicting
+            1 => ReceiveOutcome::Duplicate, // identical re-send
+            2 => {
+                // Same seq, new content.
+                resend.upload.counter ^= 1;
+                ReceiveOutcome::Conflicting
+            }
             _ => {
-                // Lower sequence -> Stale (skipped when already at 0).
+                // Lower sequence (skipped when already at 0).
                 if resend.seq == 0 {
                     continue;
                 }
                 resend.seq -= 1;
+                ReceiveOutcome::Stale
             }
-        }
-        frames.push(resend);
+        };
+        frames.push((resend, verdict));
     }
     frames
 }
 
-/// Ingests the workload into a monolithic server the sequential way and
+/// The upload each RSU must hold after the workload: its last frame
+/// whose verdict retains it.
+fn held_uploads(frames: &[(SequencedUpload, ReceiveOutcome)]) -> BTreeMap<RsuId, PeriodUpload> {
+    let mut held = BTreeMap::new();
+    for (frame, verdict) in frames {
+        if matches!(verdict, ReceiveOutcome::Fresh | ReceiveOutcome::Conflicting) {
+            held.insert(frame.upload.rsu, frame.upload.clone());
+        }
+    }
+    held
+}
+
+/// The dense Eq. 5 answer for a pair of held uploads, computed from
+/// scratch; `None` where the decode fails (sizes not comparable), in
+/// which case the server must answer degraded.
+fn oracle_estimate(a: &PeriodUpload, b: &PeriodUpload) -> Option<PairEstimate> {
+    let sketch = |u: &PeriodUpload| {
+        RsuSketch::from_parts(u.rsu, u.bits.clone(), u.counter).expect("decodable upload")
+    };
+    estimate_pair_or_clamp(&sketch(a), &sketch(b), 2)
+        .ok()
+        .map(PairEstimate::Measured)
+}
+
+/// Ingests the workload into a one-shard server the sequential way and
 /// decodes everything, returning the server and its counter snapshot.
-fn monolith(rsus: u64, frames: &[SequencedUpload]) -> (CentralServer, BTreeMap<String, u64>) {
+fn monolith(
+    rsus: u64,
+    frames: &[(SequencedUpload, ReceiveOutcome)],
+) -> (ShardedServer, BTreeMap<String, u64>) {
     let obs = Obs::enabled(Level::Info);
     let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
-    let mut server = CentralServer::new(scheme, 1.0)
+    let mut server = ShardedServer::new(scheme, 1.0, 1)
         .expect("valid alpha")
         .with_obs(obs.clone());
     for r in 1..=rsus {
         server.seed_history(RsuId(r), (splitmix64(r) % 1_000 + 10) as f64);
     }
-    for frame in frames {
+    for (frame, _) in frames {
         server.receive_sequenced(frame.clone());
     }
     let _ = server.od_matrix_threads(1);
-    (server, obs.snapshot().counters)
+    (server, strip_shard_series(obs.snapshot().counters))
 }
 
 /// A 4-node line network and a seed-derived trip population over it —
@@ -169,13 +212,16 @@ proptest! {
     /// Direct ingestion differential: random uploads (with duplicate,
     /// conflicting, and stale re-sends) through `receive_parallel` at
     /// every shard × worker count must reproduce the monolith's
-    /// estimates, O–D matrix, and counters bit for bit.
+    /// estimates, O–D matrix, and counters bit for bit — and the
+    /// workload's own verdicts and dense Eq. 5 answers.
     #[test]
     fn sharded_ingestion_is_bit_identical_to_monolith(
         rsus in 3u64..12,
         seed in any::<u64>(),
     ) {
         let frames = workload(rsus, seed);
+        let verdicts: Vec<ReceiveOutcome> = frames.iter().map(|&(_, v)| v).collect();
+        let held = held_uploads(&frames);
         let (mono, mono_counters) = monolith(rsus, &frames);
         let mono_matrix = mono.od_matrix_threads(1);
 
@@ -189,7 +235,14 @@ proptest! {
                 for r in 1..=rsus {
                     server.seed_history(RsuId(r), (splitmix64(r) % 1_000 + 10) as f64);
                 }
-                server.receive_parallel_threads(frames.clone(), threads);
+                let outcomes = server.receive_parallel_threads(
+                    frames.iter().map(|(frame, _)| frame.clone()).collect(),
+                    threads,
+                );
+                prop_assert_eq!(
+                    &outcomes, &verdicts,
+                    "verdicts at {} shards x {} threads", shards, threads
+                );
                 // Mirror the monolith's instrumented work exactly —
                 // ingest then one all-pairs decode — before snapshotting,
                 // so the counter comparison is apples to apples.
@@ -208,6 +261,7 @@ proptest! {
                         server.upload(RsuId(r)), mono.upload(RsuId(r)),
                         "upload bytes for rsu {} at {} shards x {} threads", r, shards, threads
                     );
+                    prop_assert_eq!(server.upload(RsuId(r)), held.get(&RsuId(r)));
                 }
                 prop_assert_eq!(
                     sharded_matrix, mono_matrix.clone(),
@@ -215,6 +269,18 @@ proptest! {
                 );
                 let sharded_pairs = all_pair_estimates(rsus + 1, |a, b| server.estimate_or_degraded(a, b));
                 let mono_pairs = all_pair_estimates(rsus + 1, |a, b| mono.estimate_or_degraded(a, b));
+                for (a, ua) in &held {
+                    for (b, ub) in held.range(RsuId(a.0 + 1)..) {
+                        let answer = server.estimate_or_degraded(*a, *b).expect("both uploaded");
+                        match oracle_estimate(ua, ub) {
+                            Some(oracle) => prop_assert_eq!(
+                                &answer, &oracle,
+                                "pair ({}, {}) at {} shards x {} threads", a, b, shards, threads
+                            ),
+                            None => prop_assert!(answer.is_degraded()),
+                        }
+                    }
+                }
                 prop_assert_eq!(
                     sharded_pairs, mono_pairs,
                     "pair estimates at {} shards x {} threads", shards, threads
@@ -242,7 +308,7 @@ proptest! {
         let history = vec![trip_count as f64; 4];
         let mono_obs = Obs::enabled(Level::Info);
         let mono = run_period(
-            CentralServer::new(scheme.clone(), 1.0).unwrap().with_obs(mono_obs.clone()),
+            ShardedServer::new(scheme.clone(), 1.0, 1).unwrap().with_obs(mono_obs.clone()),
             &net, &trips, &history, seed, 1, None,
         );
         let mono_pairs = all_pair_estimates(4, |a, b| mono.server.estimate_or_degraded(a, b));
@@ -268,7 +334,7 @@ proptest! {
                 );
                 prop_assert_eq!(
                     strip_shard_series(obs.snapshot().counters),
-                    mono_obs.snapshot().counters,
+                    strip_shard_series(mono_obs.snapshot().counters),
                     "counters at {} shards x {} threads", shards, threads
                 );
             }
@@ -308,7 +374,7 @@ proptest! {
         let policy = RetryPolicy::default();
         let mono_obs = Obs::enabled(Level::Info);
         let mono = run_period(
-            CentralServer::new(scheme.clone(), 1.0).unwrap().with_obs(mono_obs.clone()),
+            ShardedServer::new(scheme.clone(), 1.0, 1).unwrap().with_obs(mono_obs.clone()),
             &net, &trips, &history, seed, 1, Some((plan.clone(), policy)),
         );
         let mono_pairs = all_pair_estimates(4, |a, b| mono.server.estimate_or_degraded(a, b));
@@ -342,7 +408,7 @@ proptest! {
                 );
                 prop_assert_eq!(
                     strip_shard_series(obs.snapshot().counters),
-                    mono_obs.snapshot().counters,
+                    strip_shard_series(mono_obs.snapshot().counters),
                     "counters at {} shards x {} threads", shards, threads
                 );
             }

@@ -41,7 +41,8 @@ fn bench_kernel_selection(c: &mut Criterion) {
                             Some(&ones_y),
                             &mut scratch,
                         )
-                        .unwrap(),
+                        .unwrap()
+                        .0,
                     )
                 })
             },

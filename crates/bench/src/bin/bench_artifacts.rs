@@ -10,10 +10,11 @@
 //!   `od_matrix` pipeline vs the per-pair clone-and-rescan baseline
 //!   across RSU counts, load factors, and thread counts (DESIGN.md §13).
 //! * `BENCH_obs.json` — observability overhead (DESIGN.md §14): the
-//!   per-call cost of a disabled vs enabled counter increment, and the
-//!   end-to-end ingest / od_matrix cost with observability off vs on.
-//!   The disabled path is the budgeted one: it must stay within a few
-//!   percent of the uninstrumented baseline.
+//!   per-call cost of a disabled, a name-keyed, and a pre-resolved
+//!   counter increment, and the end-to-end ingest / od_matrix cost with
+//!   observability off vs on — the O–D cost both on a small triangle
+//!   and on a metro-shaped one (many cheap pairs across ≥ 2 workers,
+//!   where per-pair shared-memory recording would show as contention).
 //! * `BENCH_shard.json` — sharded vs monolithic batch ingestion
 //!   (DESIGN.md §15): one period's sequenced uploads into a one-shard
 //!   `ShardedServer` loop vs `ShardedServer::receive_parallel` at 1, 2,
@@ -339,7 +340,8 @@ fn bench_odmatrix_kernels(samples: usize) -> String {
                     Some(&ones_y),
                     &mut scratch,
                 )
-                .expect("nested sizes");
+                .expect("nested sizes")
+                .0;
             }
             assert!(acc > 0);
         }) / u128::from(reps);
@@ -451,32 +453,77 @@ fn bench_odmatrix(samples: usize) -> String {
     )
 }
 
-/// Per-call cost of `obs.add` on the given handle, in nanoseconds
-/// (median over `samples`, many calls per sample so sub-nanosecond
-/// dispatch is measurable).
-fn obs_call_ns(samples: usize, obs: &vcps_obs::Obs) -> f64 {
+/// Per-call cost of `record(i & 1)`, in nanoseconds (median over
+/// `samples`, many calls per sample so sub-nanosecond dispatch is
+/// measurable).
+fn per_call_ns(samples: usize, record: impl Fn(u64)) -> f64 {
     let reps = 1_000_000u32;
     let ns = median_ns(samples, || {
         for i in 0..reps {
-            obs.add(std::hint::black_box("bench.noop"), u64::from(i & 1));
+            record(u64::from(i & 1));
         }
-        std::hint::black_box(obs);
     });
     ns as f64 / f64::from(reps)
 }
 
-/// Observability overhead: no-op dispatch cost plus end-to-end ratios
-/// with the handle disabled and enabled. "disabled_ratio" is the number
-/// the ≤ 2% budget applies to; "enabled_ratio" is informational (the
-/// enabled path pays for real atomics and is allowed to cost more).
+/// Per-call cost of `obs.add` on the given handle, by name.
+fn obs_call_ns(samples: usize, obs: &vcps_obs::Obs) -> f64 {
+    per_call_ns(samples, |v| {
+        std::hint::black_box(obs).add(std::hint::black_box("bench.noop"), v);
+    })
+}
+
+/// End-to-end O–D matrix cost on one server state with observability
+/// off and on: interleaved per-mode minima (see `interleaved_min_ns`).
+fn od_obs_ns(
+    rsus: usize,
+    m: usize,
+    fill: f64,
+    threads: usize,
+    samples: usize,
+    enabled: &vcps_obs::Obs,
+) -> (u128, u128) {
+    let (plain, ids) = od_server(rsus, m, fill, 42);
+    let mut observed = plain.clone();
+    observed.set_obs(enabled.clone());
+    let mins = interleaved_min_ns(
+        samples,
+        &mut [&plain, &observed].map(|server| {
+            Box::new(|| {
+                let start = Instant::now();
+                let matrix = server.od_matrix_threads(threads).expect("decodable");
+                let ns = start.elapsed().as_nanos();
+                assert_eq!(matrix.len(), ids.len());
+                ns
+            }) as Box<dyn FnMut() -> u128 + '_>
+        }),
+    );
+    (mins[0], mins[1])
+}
+
+/// Observability overhead: counter-add dispatch cost plus end-to-end
+/// ratios with the handle disabled and enabled. The ingest
+/// "disabled_ratio" is the number the ≤ 2% budget applies to. The
+/// many-pairs O–D "enabled_ratio" is the obs-on budget, since `vcpsd`
+/// always runs with observability on: what is left of it is the one
+/// clock read per decoded pair that the `phase.decode.ns` histogram
+/// needs.
 fn bench_obs(reports: u64, samples: usize) -> String {
     use vcps_obs::{Level, Obs};
+    const MANY_RSUS: usize = 512;
+    const MANY_BITS: usize = 1 << 11;
+    const MANY_FILL: f64 = 0.21;
 
     let disabled = Obs::disabled();
     let enabled = Obs::enabled(Level::Info);
     let noop_ns = obs_call_ns(samples, &disabled);
     let enabled_ns = obs_call_ns(samples, &enabled);
-    println!("obs     counter add     disabled {noop_ns:>8.3} ns/call   enabled {enabled_ns:>8.3} ns/call");
+    let handle = enabled.counter("bench.handle");
+    let handle_ns = per_call_ns(samples, |v| std::hint::black_box(&handle).add(v));
+    println!(
+        "obs     counter add     disabled {noop_ns:>8.3} ns/call   enabled {enabled_ns:>8.3} ns/call   \
+         handle {handle_ns:>8.3} ns/call"
+    );
 
     // End-to-end ingest: uninstrumented baseline vs the obs wrapper with
     // a disabled handle (budgeted) and an enabled one (informational).
@@ -501,32 +548,46 @@ fn bench_obs(reports: u64, samples: usize) -> String {
         "obs     ingest          baseline {base_ns:>11} ns   obs-off ratio {ingest_off_ratio:.4}   obs-on ratio {ingest_on_ratio:.4}"
     );
 
-    // End-to-end od_matrix: same server state, obs off vs on.
-    let (plain_server, ids) = od_server(16, 1 << 17, 0.05, 42);
-    let mut obs_server = plain_server.clone();
-    obs_server.set_obs(enabled.clone());
-    let od_base_ns = median_ns(samples, || {
-        let matrix = plain_server.od_matrix_threads(threads).expect("decodable");
-        assert_eq!(matrix.len(), ids.len());
-    });
-    let od_on_ns = median_ns(samples, || {
-        let matrix = obs_server.od_matrix_threads(threads).expect("decodable");
-        assert_eq!(matrix.len(), ids.len());
-    });
+    // End-to-end od_matrix: same server state, obs off vs on. The small
+    // triangle (120 pairs of 2^15–2^17 bits) finishes in tens of µs; the
+    // many-pairs one is shaped like a metro period close — 512 RSUs of
+    // 2^9–2^11 bits with 21% of bits set (metro-day's arrays have a
+    // median of 2^10 bits and a median load n/m ≈ 0.23), 130,816 cheap
+    // pairs split across ≥ 2 workers.
+    let (od_base_ns, od_on_ns) = od_obs_ns(16, 1 << 17, 0.05, threads, samples, &enabled);
     let od_on_ratio = od_on_ns as f64 / od_base_ns as f64;
     println!(
         "obs     od_matrix       baseline {od_base_ns:>11} ns   obs-on ratio {od_on_ratio:.4}"
+    );
+    let many_threads = threads.max(2);
+    let (many_base_ns, many_on_ns) = od_obs_ns(
+        MANY_RSUS,
+        MANY_BITS,
+        MANY_FILL,
+        many_threads,
+        samples,
+        &enabled,
+    );
+    let many_on_ratio = many_on_ns as f64 / many_base_ns as f64;
+    println!(
+        "obs     od_matrix many  baseline {many_base_ns:>11} ns   obs-on ratio {many_on_ratio:.4}"
     );
 
     format!(
         "{{\n  \"workload\": {{\"reports\": {reports}, \"array_bits\": {ARRAY_BITS}, \
          \"threads\": {threads}, \"samples\": {samples}}},\n  \
-         \"counter_add\": {{\"disabled_ns\": {noop_ns:.4}, \"enabled_ns\": {enabled_ns:.4}}},\n  \
+         \"counter_add\": {{\"disabled_ns\": {noop_ns:.4}, \"enabled_ns\": {enabled_ns:.4}, \
+         \"handle_ns\": {handle_ns:.4}}},\n  \
          \"ingest\": {{\"baseline_ns\": {base_ns}, \"obs_disabled_ns\": {off_ns}, \
          \"obs_enabled_ns\": {on_ns}, \"disabled_ratio\": {ingest_off_ratio:.4}, \
          \"enabled_ratio\": {ingest_on_ratio:.4}}},\n  \
          \"od_matrix\": {{\"baseline_ns\": {od_base_ns}, \"obs_enabled_ns\": {od_on_ns}, \
-         \"enabled_ratio\": {od_on_ratio:.4}}}\n}}\n"
+         \"enabled_ratio\": {od_on_ratio:.4}}},\n  \
+         \"od_matrix_many_pairs\": {{\"rsus\": {MANY_RSUS}, \"array_bits\": {MANY_BITS}, \
+         \"fill\": {MANY_FILL}, \"pairs\": {}, \"threads\": {many_threads}, \
+         \"baseline_ns\": {many_base_ns}, \"obs_enabled_ns\": {many_on_ns}, \
+         \"enabled_ratio\": {many_on_ratio:.4}}}\n}}\n",
+        MANY_RSUS * (MANY_RSUS - 1) / 2,
     )
 }
 

@@ -332,6 +332,15 @@ pub enum PairKernel {
 }
 
 impl PairKernel {
+    /// Every kernel, in declaration order (`kernel as usize` indexes
+    /// this array, which is how per-kernel tallies are laid out).
+    pub const ALL: [PairKernel; 4] = [
+        PairKernel::Dense,
+        PairKernel::SparseSparse,
+        PairKernel::SparseDense,
+        PairKernel::DenseSparse,
+    ];
+
     /// Stable lowercase label for artifacts and bench IDs.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -429,7 +438,9 @@ pub fn select_pair_kernel_with_cost(
 /// Combined zero count through the per-pair kernel selector: given the
 /// dense arrays (always available server-side) and whichever sorted
 /// index lists the decode cache kept, computes the same `U_c` as
-/// [`combined_zero_count`] by the cheapest route.
+/// [`combined_zero_count`] by the cheapest route, and reports which
+/// [`PairKernel`] that route was — callers that count kernel choices
+/// take it from here instead of re-running [`select_pair_kernel`].
 ///
 /// The index lists, when present, must describe exactly the set bits of
 /// the corresponding array (the server derives them from the array, so
@@ -448,9 +459,10 @@ pub fn combined_zero_count_adaptive(
     large: &BitArray,
     ones_y: Option<&[u64]>,
     scratch: &mut DecodeScratch,
-) -> Result<usize, BitArrayError> {
+) -> Result<(usize, PairKernel), BitArrayError> {
     let (m_x, m_y) = (small.len(), large.len());
-    match select_pair_kernel(m_x, ones_x.map(<[u64]>::len), m_y, ones_y.map(<[u64]>::len)) {
+    let kernel = select_pair_kernel(m_x, ones_x.map(<[u64]>::len), m_y, ones_y.map(<[u64]>::len));
+    let u_c = match kernel {
         PairKernel::Dense => combined_zero_count(small, large),
         PairKernel::SparseSparse => {
             let (sx, sy) = (ones_x.expect("selected"), ones_y.expect("selected"));
@@ -462,7 +474,8 @@ pub fn combined_zero_count_adaptive(
         PairKernel::DenseSparse => {
             combined_zero_count_dense_sparse(small, m_y, ones_y.expect("selected"))
         }
-    }
+    }?;
+    Ok((u_c, kernel))
 }
 
 fn check_nested(m_x: usize, m_y: usize) -> Result<(), BitArrayError> {
@@ -511,8 +524,14 @@ mod tests {
             (None, Some(sy.as_slice())),
             (Some(sx.as_slice()), Some(sy.as_slice())),
         ] {
+            let (u_c, kernel) =
+                combined_zero_count_adaptive(&small, ox, &large, oy, &mut scratch).unwrap();
             assert_eq!(
-                combined_zero_count_adaptive(&small, ox, &large, oy, &mut scratch).unwrap(),
+                kernel,
+                select_pair_kernel(m_x, ox.map(<[u64]>::len), m_y, oy.map(<[u64]>::len))
+            );
+            assert_eq!(
+                u_c,
                 expected,
                 "adaptive m_x={m_x} m_y={m_y} ox={} oy={}",
                 ox.is_some(),

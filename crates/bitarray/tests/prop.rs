@@ -138,7 +138,7 @@ proptest! {
             (Some(sx.as_slice()), Some(sy.as_slice())),
         ] {
             prop_assert_eq!(
-                combined_zero_count_adaptive(&small, ox, &large, oy, &mut scratch).unwrap(),
+                combined_zero_count_adaptive(&small, ox, &large, oy, &mut scratch).unwrap().0,
                 expected
             );
         }

@@ -21,6 +21,13 @@
 //!   it records a `phase.<name>.ns` histogram and a
 //!   `phase.<name>.calls` counter. [`Obs::span`] is the free-form
 //!   tracing twin, emitting enter/exit events instead.
+//! * Hot paths never resolve a name per item. The handle resolves each
+//!   phase's cells once, [`Obs::counter`] hands out a [`CounterHandle`]
+//!   resolved once, and a parallel loop can time its items into a local
+//!   [`HistogramSnapshot`] and fold it in after the join with
+//!   [`Obs::merge_phase`] — one registry update per metric instead of
+//!   one per item (see the [`Registry`] docs for what a named update
+//!   costs).
 //!
 //! Events carry both monotonic wall time (nanoseconds since the handle
 //! was created) and the simulation clock ([`Obs::set_sim_time`]).
@@ -68,7 +75,7 @@ pub use trace::{
 };
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The instrumented pipeline phases (profiled via [`Obs::phase`]).
@@ -134,6 +141,17 @@ impl Phase {
     }
 }
 
+/// Number of [`Phase`] variants.
+const PHASES: usize = 7;
+const _: () = assert!(Phase::WalRecover as usize + 1 == PHASES);
+
+/// One phase's registry cells: its duration histogram and call counter.
+#[derive(Debug)]
+struct PhaseCells {
+    ns: Arc<Histogram>,
+    calls: Counter,
+}
+
 #[derive(Debug)]
 struct ObsInner {
     level: Level,
@@ -142,9 +160,21 @@ struct ObsInner {
     epoch: Instant,
     /// Simulation clock, as `f64` bits (NaN until a driver sets it).
     sim_time: AtomicU64,
+    /// Each phase's cells, indexed by `Phase as usize`. Resolved once,
+    /// on the phase's first recording rather than up front, so the
+    /// registry holds only phases that actually ran and snapshots are
+    /// the same as with name-keyed recording.
+    phases: [OnceLock<PhaseCells>; PHASES],
 }
 
 impl ObsInner {
+    fn phase_cells(&self, phase: Phase) -> &PhaseCells {
+        self.phases[phase as usize].get_or_init(|| PhaseCells {
+            ns: self.registry.histogram(phase.ns_metric()),
+            calls: self.registry.counter(phase.calls_metric()),
+        })
+    }
+
     fn emit(
         &self,
         level: Level,
@@ -202,6 +232,7 @@ impl Obs {
                 subscriber,
                 epoch: Instant::now(),
                 sim_time: AtomicU64::new(f64::NAN.to_bits()),
+                phases: std::array::from_fn(|_| OnceLock::new()),
             })),
         }
     }
@@ -243,6 +274,17 @@ impl Obs {
     #[inline]
     pub fn inc(&self, name: &str) {
         self.add(name, 1);
+    }
+
+    /// A handle to the named counter for a hot path: the name is
+    /// resolved on the handle's first update and never again. On a
+    /// disabled `Obs` the handle records nothing.
+    #[must_use]
+    pub fn counter(&self, name: &'static str) -> CounterHandle {
+        CounterHandle {
+            target: self.inner.as_ref().map(|inner| (Arc::clone(inner), name)),
+            cell: OnceLock::new(),
+        }
     }
 
     /// Stores `v` in a named gauge.
@@ -308,17 +350,33 @@ impl Obs {
 
     /// Starts profiling one pipeline phase; the returned timer records
     /// on drop. When disabled this reads no clock at all.
-    pub fn phase(&self, phase: Phase) -> PhaseTimer {
+    pub fn phase(&self, phase: Phase) -> PhaseTimer<'_> {
         match &self.inner {
             Some(inner) => {
                 if Level::Trace <= inner.level {
                     inner.emit(Level::Trace, EventKind::Enter, phase.label(), Vec::new());
                 }
                 PhaseTimer {
-                    state: Some((Arc::clone(inner), phase, Instant::now())),
+                    state: Some((inner, phase, Instant::now())),
                 }
             }
             None => PhaseTimer { state: None },
+        }
+    }
+
+    /// Folds `tally`, a histogram of `phase` durations timed outside a
+    /// [`PhaseTimer`], into the phase's `ns` histogram, and advances its
+    /// `calls` counter by the tally's count. The registry ends up as if
+    /// each tallied call had been a timer (no `Trace` events are
+    /// emitted). An empty tally records nothing, so a phase that never
+    /// ran leaves no registry entry.
+    pub fn merge_phase(&self, phase: Phase, tally: &HistogramSnapshot) {
+        if let Some(inner) = &self.inner {
+            if tally.count > 0 {
+                let cells = inner.phase_cells(phase);
+                cells.ns.merge_snapshot(tally);
+                cells.calls.add(tally.count);
+            }
         }
     }
 
@@ -328,6 +386,36 @@ impl Obs {
         self.inner
             .as_ref()
             .map_or_else(RegistrySnapshot::default, |i| i.registry.snapshot())
+    }
+}
+
+/// A counter handle from [`Obs::counter`]: resolved against the
+/// registry on its first update, then cached, so every later update is
+/// one read of the cached cell plus the cell's own atomic add — no
+/// lock, no map walk, no `Arc` refcount traffic. Resolving lazily
+/// keeps the registry holding only counters that were recorded. The
+/// `Default` handle, like one from a disabled `Obs`, records nothing.
+#[derive(Debug, Clone, Default)]
+pub struct CounterHandle {
+    target: Option<(Arc<ObsInner>, &'static str)>,
+    cell: OnceLock<Counter>,
+}
+
+impl CounterHandle {
+    /// Adds `v` to the counter.
+    #[inline]
+    pub fn add(&self, v: u64) {
+        if let Some((inner, name)) = &self.target {
+            self.cell
+                .get_or_init(|| inner.registry.counter(name))
+                .add(v);
+        }
+    }
+
+    /// Adds one to the counter.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
     }
 }
 
@@ -348,19 +436,21 @@ impl Drop for SpanGuard {
 }
 
 /// Guard for [`Obs::phase`]; records duration histogram + call counter
-/// (and a `Trace`-level exit event) on drop.
+/// (and a `Trace`-level exit event) on drop. It borrows the handle, so
+/// opening one costs no reference-count traffic.
 #[derive(Debug)]
 #[must_use = "dropping the timer records the phase duration"]
-pub struct PhaseTimer {
-    state: Option<(Arc<ObsInner>, Phase, Instant)>,
+pub struct PhaseTimer<'a> {
+    state: Option<(&'a ObsInner, Phase, Instant)>,
 }
 
-impl Drop for PhaseTimer {
+impl Drop for PhaseTimer<'_> {
     fn drop(&mut self) {
         if let Some((inner, phase, start)) = self.state.take() {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            inner.registry.observe(phase.ns_metric(), ns);
-            inner.registry.inc(phase.calls_metric());
+            let cells = inner.phase_cells(phase);
+            cells.ns.record(ns);
+            cells.calls.inc();
             if Level::Trace <= inner.level {
                 inner.emit(
                     Level::Trace,
@@ -451,6 +541,42 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counters["phase.decode.calls"], 3);
         assert_eq!(snap.histograms["phase.decode.ns"].count, 3);
+    }
+
+    #[test]
+    fn merged_phase_tally_matches_timers() {
+        let obs = Obs::enabled(Level::Info);
+        obs.merge_phase(Phase::Decode, &HistogramSnapshot::default());
+        assert!(obs.snapshot().is_empty(), "an empty tally records nothing");
+        let mut tally = HistogramSnapshot::default();
+        for ns in [10u64, 200, 3000] {
+            tally.record(ns);
+        }
+        drop(obs.phase(Phase::Decode));
+        obs.merge_phase(Phase::Decode, &tally);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters["phase.decode.calls"], 4);
+        let h = &snap.histograms["phase.decode.ns"];
+        assert_eq!(h.count, 4);
+        assert!(h.sum >= 3210);
+        assert!(Obs::disabled().snapshot().is_empty());
+    }
+
+    #[test]
+    fn counter_handles_resolve_on_first_use() {
+        let obs = Obs::enabled(Level::Info);
+        let handle = obs.counter("hits");
+        let clone = handle.clone();
+        assert!(obs.snapshot().is_empty(), "no entry before the first add");
+        std::thread::scope(|scope| {
+            scope.spawn(|| clone.add(2));
+        });
+        handle.inc();
+        obs.inc("hits");
+        assert_eq!(obs.snapshot().counters["hits"], 4);
+        let off = Obs::disabled().counter("hits");
+        off.inc();
+        CounterHandle::default().inc();
     }
 
     #[test]

@@ -1,13 +1,27 @@
 //! The unified metrics registry: named counters, gauges, and
 //! fixed-bucket histograms over lock-free [`AtomicU64`] cells.
 //!
-//! Recording never blocks recording: every cell is a plain atomic, so
-//! `SharedRsu`-style parallel workers update the same counter without
-//! contention beyond the cache line itself. The name → cell map is
-//! behind an [`RwLock`], but the write lock is taken only the first time
-//! a name is seen; steady-state recording is a read lock plus one atomic
-//! RMW. Hot loops can hoist even the map lookup by holding a
-//! [`Counter`]/[`Gauge`]/[`Histogram`] handle.
+//! Recording never blocks recording, but it is not free of shared
+//! memory traffic. Every cell is a plain atomic, so parallel workers
+//! that bump the same counter all write its cache line. A *named*
+//! update also resolves the name first: it takes the map's [`RwLock`]
+//! read lock (itself an atomic RMW on a line every caller shares),
+//! walks the `BTreeMap`, clones the cell's `Arc` (another shared RMW),
+//! and drops both again. The write lock is taken only the first time a
+//! name is seen. Named calls are therefore fine once per request,
+//! batch, or period, and too slow per item in a hot loop.
+//!
+//! Hot loops use one of two cheaper forms instead:
+//!
+//! * **Handles** — a [`Counter`]/[`Gauge`]/[`Histogram`] resolved once
+//!   (or a [`crate::CounterHandle`], resolved on first use) costs only
+//!   the cell's own atomic per update.
+//! * **Local tallies** — a worker records into a plain
+//!   [`HistogramSnapshot`] ([`HistogramSnapshot::record`]) or its own
+//!   integers, and the caller folds the tallies after the join with one
+//!   registry update per metric ([`Histogram::merge_snapshot`],
+//!   [`Counter::add`]). The parallel O–D decode does this, so its
+//!   workers share no metric cache line at all.
 //!
 //! [`RegistrySnapshot`] freezes the registry into plain maps whose
 //! [`merge`](RegistrySnapshot::merge) is associative and commutative
@@ -115,6 +129,20 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Folds a locally tallied snapshot in: one relaxed add per
+    /// non-empty bucket plus count and sum. The result equals having
+    /// [`record`](Self::record)ed every value the snapshot holds — the
+    /// join-time half of the local-tally pattern (see the module docs).
+    pub fn merge_snapshot(&self, snapshot: &HistogramSnapshot) {
+        for (cell, &n) in self.buckets.iter().zip(&snapshot.buckets) {
+            if n != 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(snapshot.count, Ordering::Relaxed);
+        self.sum.fetch_add(snapshot.sum, Ordering::Relaxed);
+    }
+
     /// Freezes the cells into a plain snapshot.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -148,6 +176,16 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one observation exactly as [`Histogram::record`] does,
+    /// into plain integers: the form a worker tallies into locally
+    /// before a single [`Histogram::merge_snapshot`].
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+    }
+
     /// Mean observed value, or `None` when empty.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {

@@ -1,10 +1,12 @@
 //! Property tests for the snapshot merge algebra: `RegistrySnapshot::merge`
 //! must be associative and commutative so per-worker snapshots can be
 //! reduced in any grouping or order (the guarantee the engine's
-//! thread-count-independence tests lean on).
+//! thread-count-independence tests lean on), and a locally tallied
+//! histogram merged into a live one must equal recording its values
+//! directly (the per-worker O–D decode tally relies on that).
 
 use proptest::prelude::*;
-use vcps_obs::{Registry, RegistrySnapshot};
+use vcps_obs::{Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 
 /// Small name pool so generated snapshots collide on keys (merging
 /// disjoint maps would never exercise the combining operators).
@@ -64,5 +66,25 @@ proptest! {
         let empty = RegistrySnapshot::default();
         prop_assert_eq!(merged(a.clone(), &empty), a.clone());
         prop_assert_eq!(merged(empty, &a), a);
+    }
+
+    #[test]
+    fn merged_tally_equals_direct_recording(
+        before in proptest::collection::vec(any::<u64>(), 0..16),
+        tallied in proptest::collection::vec(any::<u64>(), 0..64),
+    ) {
+        let direct = Histogram::default();
+        let merged = Histogram::default();
+        for &v in &before {
+            direct.record(v);
+            merged.record(v);
+        }
+        let mut tally = HistogramSnapshot::default();
+        for &v in &tallied {
+            direct.record(v);
+            tally.record(v);
+        }
+        merged.merge_snapshot(&tally);
+        prop_assert_eq!(merged.snapshot(), direct.snapshot());
     }
 }

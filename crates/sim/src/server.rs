@@ -20,7 +20,7 @@ use vcps_bitarray::{
 };
 use vcps_core::estimator::{estimate_from_counts_or_clamp, first_plays_x, PairCounts};
 use vcps_core::{CoreError, DegradedEstimate, PairEstimate, RsuId, Scheme, VolumeHistory};
-use vcps_obs::{Level, Obs, Phase, Value};
+use vcps_obs::{HistogramSnapshot, Level, Obs, Value};
 
 use crate::protocol::{PeriodUpload, SequencedUpload, SequencedUploadRef, ServerCheckpoint};
 use crate::SimError;
@@ -38,51 +38,6 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) ->
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// Records which decode kernel [`select_pair_kernel`] picks for a
-/// pair and why: a per-kernel counter always, and at `Debug` level a
-/// `kernel_select` event carrying the cost-model inputs (the array
-/// sizes and set-bit counts the selector weighed). Mirrors the exact
-/// selection [`combined_zero_count_adaptive`] makes internally — same
-/// function, same inputs — without touching the decode itself.
-fn note_kernel_choice(
-    obs: &Obs,
-    m_x: usize,
-    ones_x: Option<&[u64]>,
-    m_y: usize,
-    ones_y: Option<&[u64]>,
-) {
-    let kernel = select_pair_kernel(m_x, ones_x.map(<[u64]>::len), m_y, ones_y.map(<[u64]>::len));
-    obs.inc(match kernel {
-        PairKernel::Dense => "kernel.dense",
-        PairKernel::SparseSparse => "kernel.sparse_sparse",
-        PairKernel::SparseDense => "kernel.sparse_dense",
-        PairKernel::DenseSparse => "kernel.dense_sparse",
-    });
-    if obs.enabled_at(Level::Debug) {
-        obs.event(
-            Level::Debug,
-            "kernel_select",
-            &[
-                ("kernel", Value::Str(kernel.label().to_string())),
-                ("m_x", Value::U64(m_x as u64)),
-                ("m_y", Value::U64(m_y as u64)),
-                (
-                    "sparse_ones_x",
-                    ones_x.map_or(Value::Str("dense".to_string()), |o| {
-                        Value::U64(o.len() as u64)
-                    }),
-                ),
-                (
-                    "sparse_ones_y",
-                    ones_y.map_or(Value::Str("dense".to_string()), |o| {
-                        Value::U64(o.len() as u64)
-                    }),
-                ),
-            ],
-        );
-    }
-}
-
 /// One RSU's decode-relevant state, resolved once per query.
 ///
 /// The naive pair loop resolves `uploads` and `sparse_ones` map entries
@@ -97,10 +52,10 @@ pub(crate) struct RsuDecodeRef<'a> {
     pub(crate) ones: Option<&'a [u64]>,
 }
 
-impl RsuDecodeRef<'_> {
+impl<'a> RsuDecodeRef<'a> {
     /// The upload, if it can be decoded: present, and at least 2 bits
     /// (the estimator needs a meaningful zero fraction).
-    pub(crate) fn decodable(&self) -> Result<&PeriodUpload, SimError> {
+    pub(crate) fn decodable(&self) -> Result<&'a PeriodUpload, SimError> {
         let upload = self
             .upload
             .ok_or(SimError::MissingUpload { rsu: self.rsu })?;
@@ -117,47 +72,103 @@ impl RsuDecodeRef<'_> {
     }
 }
 
-/// Decodes one pair's sufficient statistics from two prefetched per-RSU
-/// refs: check both are decodable, orient, pick the cheapest kernel
-/// ([`combined_zero_count_adaptive`]) using whatever sparse index lists
-/// the receive path extracted, count. The memoized single-pair path and
-/// the all-pairs loop both funnel through this one function, so they
-/// are bit-identical by construction.
-pub(crate) fn pair_counts_prefetched(
-    a: &RsuDecodeRef<'_>,
-    b: &RsuDecodeRef<'_>,
-    scratch: &mut DecodeScratch,
-    obs: &Obs,
-) -> Result<PairCounts, SimError> {
-    let (ua, ub) = (a.decodable()?, b.decodable()?);
-    let _timer = obs.phase(Phase::Decode);
-    let a_first = first_plays_x(
-        ua.bits.len(),
-        ua.counter,
-        ua.rsu,
-        ub.bits.len(),
-        ub.counter,
-        ub.rsu,
-    );
-    let ((x, ones_x), (y, ones_y)) = if a_first {
-        ((ua, a.ones), (ub, b.ones))
-    } else {
-        ((ub, b.ones), (ua, a.ones))
-    };
-    if obs.is_enabled() {
-        note_kernel_choice(obs, x.bits.len(), ones_x, y.bits.len(), ones_y);
+/// Two decodable uploads in decode orientation — `x` is the side
+/// [`first_plays_x`] puts first — with their sparse index lists. The
+/// memoized single-pair path and the O–D matrix both decode through
+/// [`decode`](Self::decode), so they are bit-identical by construction.
+pub(crate) struct OrientedPair<'a> {
+    x: &'a PeriodUpload,
+    ones_x: Option<&'a [u64]>,
+    y: &'a PeriodUpload,
+    ones_y: Option<&'a [u64]>,
+}
+
+impl<'a> OrientedPair<'a> {
+    /// Checks both prefetched sides are decodable and orients them.
+    pub(crate) fn new(a: &RsuDecodeRef<'a>, b: &RsuDecodeRef<'a>) -> Result<Self, SimError> {
+        let (ua, ub) = (a.decodable()?, b.decodable()?);
+        let a_first = first_plays_x(
+            ua.bits.len(),
+            ua.counter,
+            ua.rsu,
+            ub.bits.len(),
+            ub.counter,
+            ub.rsu,
+        );
+        Ok(if a_first {
+            Self {
+                x: ua,
+                ones_x: a.ones,
+                y: ub,
+                ones_y: b.ones,
+            }
+        } else {
+            Self {
+                x: ub,
+                ones_x: b.ones,
+                y: ua,
+                ones_y: a.ones,
+            }
+        })
     }
-    let u_c = combined_zero_count_adaptive(&x.bits, ones_x, &y.bits, ones_y, scratch)
-        .map_err(CoreError::from)?;
-    Ok(PairCounts {
-        m_x: x.bits.len(),
-        m_y: y.bits.len(),
-        u_x: x.bits.count_zeros(),
-        u_y: y.bits.count_zeros(),
-        u_c,
-        n_x: x.counter,
-        n_y: y.counter,
-    })
+
+    /// Decodes the pair's sufficient statistics with the cheapest kernel
+    /// ([`combined_zero_count_adaptive`]) over whatever sparse index
+    /// lists the receive path extracted. Returns the kernel that ran
+    /// alongside the result; when the kernel rejects the pair (sizes
+    /// not nested), it is the kernel the selector picked.
+    pub(crate) fn decode(
+        &self,
+        scratch: &mut DecodeScratch,
+    ) -> (PairKernel, Result<PairCounts, SimError>) {
+        let (x, y) = (self.x, self.y);
+        match combined_zero_count_adaptive(&x.bits, self.ones_x, &y.bits, self.ones_y, scratch) {
+            Ok((u_c, kernel)) => (
+                kernel,
+                Ok(PairCounts {
+                    m_x: x.bits.len(),
+                    m_y: y.bits.len(),
+                    u_x: x.bits.count_zeros(),
+                    u_y: y.bits.count_zeros(),
+                    u_c,
+                    n_x: x.counter,
+                    n_y: y.counter,
+                }),
+            ),
+            Err(e) => (
+                select_pair_kernel(
+                    x.bits.len(),
+                    self.ones_x.map(<[u64]>::len),
+                    y.bits.len(),
+                    self.ones_y.map(<[u64]>::len),
+                ),
+                Err(CoreError::from(e).into()),
+            ),
+        }
+    }
+
+    /// Emits the `Debug`-level `kernel_select` event for a decode that
+    /// ran `kernel`: the cost-model inputs the selector weighed (array
+    /// sizes and set-bit counts). Callers guard it with
+    /// `obs.enabled_at(Level::Debug)`.
+    pub(crate) fn kernel_event(&self, obs: &Obs, kernel: PairKernel) {
+        let ones = |o: Option<&[u64]>| {
+            o.map_or(Value::Str("dense".to_string()), |o| {
+                Value::U64(o.len() as u64)
+            })
+        };
+        obs.event(
+            Level::Debug,
+            "kernel_select",
+            &[
+                ("kernel", Value::Str(kernel.label().to_string())),
+                ("m_x", Value::U64(self.x.bits.len() as u64)),
+                ("m_y", Value::U64(self.y.bits.len() as u64)),
+                ("sparse_ones_x", ones(self.ones_x)),
+                ("sparse_ones_y", ones(self.ones_y)),
+            ],
+        );
+    }
 }
 
 /// Answers a pair query even when uploads are missing: full decode
@@ -296,6 +307,72 @@ pub(crate) fn od_effective_threads(
     1
 }
 
+/// O–D triangle blocks per worker thread: enough that the pool's range
+/// claiming can even out rows of uneven decode cost, few enough that
+/// per-block setup (a result vector, a tally, one clock read) stays
+/// negligible next to thousands of pair decodes.
+pub(crate) const OD_BLOCKS_PER_THREAD: usize = 8;
+
+/// A contiguous run of the O–D triangle: `len` pairs in row-major
+/// `(i, j)`, `i < j` order, starting at `(i, j)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TriangleBlock {
+    pub(crate) i: usize,
+    pub(crate) j: usize,
+    pub(crate) len: usize,
+}
+
+/// Splits the triangle of an `n`-RSU matrix into at most `blocks`
+/// contiguous runs of near-equal pair counts, in triangle order (empty
+/// when there are no pairs).
+pub(crate) fn triangle_blocks(n: usize, blocks: usize) -> Vec<TriangleBlock> {
+    let total = n * n.saturating_sub(1) / 2;
+    if total == 0 {
+        return Vec::new();
+    }
+    let blocks = blocks.clamp(1, total);
+    let (mut i, mut j) = (0, 1);
+    let mut out = Vec::with_capacity(blocks);
+    for b in 0..blocks {
+        let len = (b + 1) * total / blocks - b * total / blocks;
+        out.push(TriangleBlock { i, j, len });
+        let mut left = len;
+        while left > 0 {
+            let in_row = n - j;
+            if left < in_row {
+                j += left;
+                left = 0;
+            } else {
+                left -= in_row;
+                i += 1;
+                j = i + 1;
+            }
+        }
+    }
+    out
+}
+
+/// What one O–D worker block observed about its decodes: pairs decoded
+/// per kernel (indexed by `PairKernel as usize`) and a histogram of
+/// per-pair decode nanoseconds. Workers fill their own tally in plain
+/// memory; the caller folds the tallies after the join and records
+/// each metric once, so workers share no metric cache line.
+#[derive(Debug, Default)]
+pub(crate) struct DecodeTally {
+    pub(crate) kernels: [u64; 4],
+    pub(crate) ns: HistogramSnapshot,
+}
+
+impl DecodeTally {
+    /// Folds `other` in (kernel counts add, histograms merge).
+    pub(crate) fn merge(&mut self, other: &DecodeTally) {
+        for (mine, theirs) in self.kernels.iter_mut().zip(&other.kernels) {
+            *mine += theirs;
+        }
+        self.ns.merge(&other.ns);
+    }
+}
+
 /// How the server classified one incoming upload relative to what it
 /// already holds (see [`crate::ShardedServer::receive`] and
 /// [`crate::ShardedServer::receive_sequenced`]).
@@ -338,16 +415,16 @@ pub struct OdMatrix {
 
 impl OdMatrix {
     /// Assembles a matrix from the upper-triangle estimates computed by
-    /// the decode fan-out: each `(i, j)` estimate fills its entry and
-    /// its transposed mirror.
-    pub(crate) fn from_pair_estimates(
+    /// the decode fan-out, in row-major `(i, j)`, `i < j` order: each
+    /// estimate fills its entry and its transposed mirror.
+    pub(crate) fn from_triangle(
         rsus: Vec<RsuId>,
-        pairs: &[(usize, usize)],
-        computed: Vec<Result<PairEstimate, SimError>>,
+        computed: impl IntoIterator<Item = Result<PairEstimate, SimError>>,
     ) -> Result<Self, SimError> {
         let n = rsus.len();
         let mut entries = vec![None; n * n];
-        for (&(i, j), result) in pairs.iter().zip(computed) {
+        let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+        for ((i, j), result) in pairs.zip(computed) {
             let estimate = result?;
             entries[j * n + i] = Some(estimate.transposed());
             entries[i * n + j] = Some(estimate);
@@ -618,5 +695,41 @@ impl Shard {
         self.uploads.clear();
         self.sparse_ones.clear();
         Ok(sizes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn triangle_blocks_cover_every_pair_once_in_order() {
+        for n in [0usize, 1, 2, 3, 7, 24, 100] {
+            let total = n * n.saturating_sub(1) / 2;
+            let expected: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect();
+            for blocks in [1usize, 2, 5, 16, 64, 10_000] {
+                let cut = triangle_blocks(n, blocks);
+                assert!(cut.len() <= blocks.max(1));
+                let lens: Vec<usize> = cut.iter().map(|b| b.len).collect();
+                if let (Some(lo), Some(hi)) = (lens.iter().min(), lens.iter().max()) {
+                    assert!(hi - lo <= 1, "n={n} blocks={blocks}: {lens:?}");
+                }
+                let mut walked = Vec::with_capacity(total);
+                for b in cut {
+                    let (mut i, mut j) = (b.i, b.j);
+                    for _ in 0..b.len {
+                        walked.push((i, j));
+                        j += 1;
+                        if j == n {
+                            i += 1;
+                            j = i + 1;
+                        }
+                    }
+                }
+                assert_eq!(walked, expected, "n={n} blocks={blocks}");
+            }
+        }
     }
 }

@@ -18,25 +18,30 @@
 //! Instrumentation goes through one handle on the composite; beyond the
 //! receive, kernel and phase series it adds its own `shard.*` /
 //! `batch.*` counters and the `shard.count` gauge, which the
-//! differential suite strips before comparing shard counts.
+//! differential suite strips before comparing shard counts. Per-upload
+//! and per-pair counters go through handles resolved once per attached
+//! handle, and the O–D fan-out tallies per worker and records once per
+//! matrix (DESIGN.md §14).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::RwLock;
+use std::time::Instant;
 
+use vcps_bitarray::PairKernel;
 use vcps_core::estimator::{
     estimate_from_counts, estimate_from_counts_or_clamp, Estimate, PairCounts,
 };
 use vcps_core::{CoreError, PairEstimate, RsuId, Scheme};
 use vcps_hash::splitmix64;
-use vcps_obs::{Obs, Phase};
+use vcps_obs::{CounterHandle, Level, Obs, Phase};
 
 use crate::protocol::{
     BatchUploadRef, CheckpointSet, PeriodUpload, SequencedUpload, SequencedUploadRef,
     UploadFrameRef,
 };
 use crate::server::{
-    od_effective_threads, pair_counts_prefetched, pair_estimate, with_thread_scratch, RsuDecodeRef,
-    Shard,
+    od_effective_threads, pair_estimate, triangle_blocks, with_thread_scratch, DecodeTally,
+    OrientedPair, RsuDecodeRef, Shard, TriangleBlock, OD_BLOCKS_PER_THREAD,
 };
 use crate::{OdMatrix, ReceiveOutcome, SimError};
 
@@ -50,6 +55,56 @@ use crate::{OdMatrix, ReceiveOutcome, SimError};
 pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
     assert!(shard_count > 0, "shard_count must be positive");
     (splitmix64(rsu.0) % shard_count as u64) as usize
+}
+
+/// The composite's per-upload and per-pair counters, resolved from the
+/// attached [`Obs`] once (each on first use) instead of by name on
+/// every update. The default is the disabled set.
+#[derive(Debug, Clone, Default)]
+struct ServerMetrics {
+    routed: CounterHandle,
+    /// `server.receive.*`, in [`ReceiveOutcome`] declaration order.
+    outcomes: [CounterHandle; 4],
+    /// `kernel.*`, indexed by `PairKernel as usize`.
+    kernels: [CounterHandle; 4],
+    local_pair: CounterHandle,
+    cross_pair: CounterHandle,
+    batch_frames: CounterHandle,
+    batch_uploads: CounterHandle,
+}
+
+impl ServerMetrics {
+    fn new(obs: &Obs) -> Self {
+        Self {
+            routed: obs.counter("shard.routed"),
+            outcomes: [
+                "server.receive.fresh",
+                "server.receive.duplicate",
+                "server.receive.conflicting",
+                "server.receive.stale",
+            ]
+            .map(|name| obs.counter(name)),
+            kernels: PairKernel::ALL.map(|k| obs.counter(kernel_metric(k))),
+            local_pair: obs.counter("shard.local_pair"),
+            cross_pair: obs.counter("shard.cross_pair"),
+            batch_frames: obs.counter("batch.frames"),
+            batch_uploads: obs.counter("batch.uploads"),
+        }
+    }
+
+    fn outcome(&self, outcome: ReceiveOutcome) -> &CounterHandle {
+        &self.outcomes[outcome as usize]
+    }
+}
+
+/// Registry name of a kernel's choice counter.
+fn kernel_metric(kernel: PairKernel) -> &'static str {
+    match kernel {
+        PairKernel::Dense => "kernel.dense",
+        PairKernel::SparseSparse => "kernel.sparse_sparse",
+        PairKernel::SparseDense => "kernel.sparse_dense",
+        PairKernel::DenseSparse => "kernel.dense_sparse",
+    }
 }
 
 /// The central server, sharded over `K` hash buckets of RSU ids:
@@ -116,6 +171,8 @@ pub struct ShardedServer {
     /// Observability handle; disabled unless [`set_obs`](Self::set_obs)
     /// was called.
     obs: Obs,
+    /// Counter handles resolved from `obs`.
+    metrics: ServerMetrics,
 }
 
 impl Clone for ShardedServer {
@@ -125,6 +182,7 @@ impl Clone for ShardedServer {
             shards: self.shards.clone(),
             pair_memo: RwLock::new(self.pair_memo.read().expect("pair memo poisoned").clone()),
             obs: self.obs.clone(),
+            metrics: self.metrics.clone(),
         }
     }
 }
@@ -157,6 +215,7 @@ impl ShardedServer {
             shards,
             pair_memo: RwLock::new(BTreeMap::new()),
             obs: Obs::disabled(),
+            metrics: ServerMetrics::default(),
         }
     }
 
@@ -167,6 +226,7 @@ impl ShardedServer {
     /// every instrumentation point is a single pointer check.
     pub fn set_obs(&mut self, obs: Obs) {
         obs.gauge("shard.count", self.shards.len() as f64);
+        self.metrics = ServerMetrics::new(&obs);
         self.obs = obs;
     }
 
@@ -328,8 +388,8 @@ impl ShardedServer {
     /// routes them, with per-record heap allocation only where a fresh
     /// or conflicting upload is actually retained (DESIGN.md §18).
     pub fn receive_batch_ref(&mut self, batch: &BatchUploadRef<'_>) -> Vec<ReceiveOutcome> {
-        self.obs.inc("batch.frames");
-        self.obs.add("batch.uploads", batch.len() as u64);
+        self.metrics.batch_frames.inc();
+        self.metrics.batch_uploads.add(batch.len() as u64);
         batch
             .frames()
             .map(|frame| self.receive_sequenced_ref(&frame))
@@ -426,13 +486,8 @@ impl ShardedServer {
     /// `server.receive.*` counter) and invalidates the pair memo when
     /// the RSU's data changed.
     fn note_receive(&mut self, rsu: RsuId, outcome: ReceiveOutcome) -> ReceiveOutcome {
-        self.obs.inc("shard.routed");
-        self.obs.inc(match outcome {
-            ReceiveOutcome::Fresh => "server.receive.fresh",
-            ReceiveOutcome::Duplicate => "server.receive.duplicate",
-            ReceiveOutcome::Conflicting => "server.receive.conflicting",
-            ReceiveOutcome::Stale => "server.receive.stale",
-        });
+        self.metrics.routed.inc();
+        self.metrics.outcome(outcome).inc();
         if matches!(outcome, ReceiveOutcome::Fresh | ReceiveOutcome::Conflicting) {
             self.pair_memo
                 .get_mut()
@@ -472,13 +527,21 @@ impl ShardedServer {
         if let Some(counts) = self.pair_memo.read().expect("pair memo poisoned").get(&key) {
             return Ok(*counts);
         }
-        self.obs
-            .inc(if self.shard_of(a.rsu) == self.shard_of(b.rsu) {
-                "shard.local_pair"
-            } else {
-                "shard.cross_pair"
-            });
-        let counts = with_thread_scratch(|s| pair_counts_prefetched(a, b, s, &self.obs))?;
+        if self.shard_of(a.rsu) == self.shard_of(b.rsu) {
+            self.metrics.local_pair.inc();
+        } else {
+            self.metrics.cross_pair.inc();
+        }
+        let pair = OrientedPair::new(a, b)?;
+        let (kernel, counts) = {
+            let _timer = self.obs.phase(Phase::Decode);
+            with_thread_scratch(|s| pair.decode(s))
+        };
+        self.metrics.kernels[kernel as usize].inc();
+        if self.obs.enabled_at(Level::Debug) {
+            pair.kernel_event(&self.obs, kernel);
+        }
+        let counts = counts?;
         self.pair_memo
             .write()
             .expect("pair memo poisoned")
@@ -555,22 +618,32 @@ impl ShardedServer {
 
     /// [`od_matrix`](Self::od_matrix) with an explicit worker count.
     ///
-    /// The pair triangle fans out through
+    /// The pair triangle is cut into about `threads × 8` contiguous
+    /// blocks of near-equal pair counts, which fan out through
     /// [`parallel_map_threads`](crate::concurrent::parallel_map_threads)
-    /// — persistent-pool workers claiming index ranges of the triangle
-    /// in cache-friendly chunks (consecutive pairs share their `i`-side
-    /// upload). Each RSU's upload reference, sparse index list and
-    /// history are prefetched *once* from its owning shard before the
-    /// fan-out, so the per-pair work is pure kernel time with no map
-    /// lookups; each worker reuses one decode scratch across all its
-    /// pairs. When the estimated triangle work is too small to repay a
-    /// pool dispatch, the whole triangle runs inline on the caller —
+    /// — persistent-pool workers claiming blocks off a shared cursor
+    /// (consecutive pairs share their `i`-side upload). Each RSU's
+    /// upload reference, sparse index list and history are prefetched
+    /// *once* from its owning shard before the fan-out, so the per-pair
+    /// work is pure kernel time with no map lookups; each block reuses
+    /// its worker's decode scratch across all its pairs. When the
+    /// estimated triangle work is too small to repay a pool dispatch,
+    /// the whole triangle runs inline on the caller as one block —
     /// small matrices can never lose to the 1-thread path. Entries are
     /// exactly what [`estimate_or_degraded`](Self::estimate_or_degraded)
     /// returns for the pair — measured where both uploads are decodable,
     /// degraded where history must fill in. The batch path deliberately
     /// bypasses the pair memo: it never re-reads a pair, and N²/2 lock
     /// round-trips would serialize the workers.
+    ///
+    /// Observability touches no shared memory per pair. Each block
+    /// tallies its kernel choices and per-pair decode times (one clock
+    /// read per pair, each pair timed from the previous one's end) in a
+    /// local [`DecodeTally`]; after the join the tallies are folded in
+    /// block order and recorded with one registry update per metric.
+    /// `kernel.*`, `phase.decode.calls` and the `phase.decode.ns` count
+    /// come out exactly as if every decode had been timed and counted
+    /// on its own.
     ///
     /// # Errors
     ///
@@ -595,10 +668,8 @@ impl ShardedServer {
             .into_iter()
             .collect();
         let n = rsus.len();
-        let pairs: Vec<(usize, usize)> = (0..n)
-            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
-            .collect();
-        self.obs.add("od_matrix.pairs", pairs.len() as u64);
+        let pair_count = n * n.saturating_sub(1) / 2;
+        self.obs.add("od_matrix.pairs", pair_count as u64);
         let shard_idx: Vec<usize> = rsus.iter().map(|&rsu| self.shard_of(rsu)).collect();
         let pre: Vec<RsuDecodeRef<'_>> = rsus
             .iter()
@@ -608,15 +679,103 @@ impl ShardedServer {
         if self.obs.is_enabled() {
             self.note_pair_locality(&pre, &shard_idx);
         }
-        let threads = od_effective_threads(threads, &pre, pairs.len());
-        let computed =
-            crate::concurrent::parallel_map_threads(pairs.clone(), threads, |&(i, j)| {
+        let threads = od_effective_threads(threads, &pre, pair_count);
+        let blocks = if threads > 1 {
+            threads * OD_BLOCKS_PER_THREAD
+        } else {
+            1
+        };
+        let decoded = crate::concurrent::parallel_map_threads(
+            triangle_blocks(n, blocks),
+            threads,
+            |&block| self.decode_block(&pre, block),
+        );
+        let mut tally = DecodeTally::default();
+        for (_, block_tally) in &decoded {
+            tally.merge(block_tally);
+        }
+        for (handle, &count) in self.metrics.kernels.iter().zip(&tally.kernels) {
+            if count > 0 {
+                handle.add(count);
+            }
+        }
+        self.obs.merge_phase(Phase::Decode, &tally.ns);
+        OdMatrix::from_triangle(
+            rsus,
+            decoded.into_iter().flat_map(|(estimates, _)| estimates),
+        )
+    }
+
+    /// Decodes one triangle block for
+    /// [`od_matrix_threads`](Self::od_matrix_threads): its estimates in
+    /// triangle order, plus the block's [`DecodeTally`].
+    ///
+    /// The pair loop is instantiated once per observability mode, so
+    /// each loop carries only the instrumentation its mode records. That
+    /// is for speed: a call left inside the per-pair decode, even one
+    /// that never runs, measured 15–35% slower on cheap pairs.
+    fn decode_block(
+        &self,
+        pre: &[RsuDecodeRef<'_>],
+        block: TriangleBlock,
+    ) -> (Vec<Result<PairEstimate, SimError>>, DecodeTally) {
+        if self.obs.enabled_at(Level::Debug) {
+            self.decode_pairs::<true>(pre, block, |pair, kernel| {
+                pair.kernel_event(&self.obs, kernel);
+            })
+        } else if self.obs.is_enabled() {
+            self.decode_pairs::<true>(pre, block, |_, _| {})
+        } else {
+            self.decode_pairs::<false>(pre, block, |_, _| {})
+        }
+    }
+
+    /// The pair loop behind [`decode_block`](Self::decode_block). Kernel
+    /// choices are always tallied; with `TIMED`, each decoded pair's
+    /// nanoseconds are tallied too, from one clock read per pair (each
+    /// pair is timed from the end of the previous one). `on_decode` sees
+    /// every decode.
+    fn decode_pairs<const TIMED: bool>(
+        &self,
+        pre: &[RsuDecodeRef<'_>],
+        block: TriangleBlock,
+        mut on_decode: impl FnMut(&OrientedPair<'_>, PairKernel),
+    ) -> (Vec<Result<PairEstimate, SimError>>, DecodeTally) {
+        let n = pre.len();
+        let mut tally = DecodeTally::default();
+        let mut estimates = Vec::with_capacity(block.len);
+        with_thread_scratch(|scratch| {
+            let (mut i, mut j) = (block.i, block.j);
+            let mut last = TIMED.then(Instant::now);
+            for _ in 0..block.len {
                 let (a, b) = (&pre[i], &pre[j]);
-                pair_estimate(&self.scheme, a, b, || {
-                    with_thread_scratch(|s| pair_counts_prefetched(a, b, s, &self.obs))
-                })
-            });
-        OdMatrix::from_pair_estimates(rsus, &pairs, computed)
+                let mut ran = None;
+                estimates.push(pair_estimate(&self.scheme, a, b, || {
+                    let pair = OrientedPair::new(a, b)?;
+                    let (kernel, counts) = pair.decode(scratch);
+                    on_decode(&pair, kernel);
+                    ran = Some(kernel);
+                    counts
+                }));
+                if let Some(kernel) = ran {
+                    tally.kernels[kernel as usize] += 1;
+                }
+                if let Some(last) = last.as_mut() {
+                    let now = Instant::now();
+                    if ran.is_some() {
+                        let ns = now.duration_since(*last).as_nanos();
+                        tally.ns.record(u64::try_from(ns).unwrap_or(u64::MAX));
+                    }
+                    *last = now;
+                }
+                j += 1;
+                if j == n {
+                    i += 1;
+                    j = i + 1;
+                }
+            }
+        });
+        (estimates, tally)
     }
 
     /// Counts an O–D matrix's decoded pairs as `shard.local_pair` (both
@@ -634,9 +793,12 @@ impl ShardedServer {
         let pairs_among = |d: u64| d * d.saturating_sub(1) / 2;
         let local: u64 = decodable.iter().map(|&d| pairs_among(d)).sum();
         let cross = pairs_among(decodable.iter().sum()) - local;
-        for (name, count) in [("shard.local_pair", local), ("shard.cross_pair", cross)] {
+        for (handle, count) in [
+            (&self.metrics.local_pair, local),
+            (&self.metrics.cross_pair, cross),
+        ] {
             if count > 0 {
-                self.obs.add(name, count);
+                handle.add(count);
             }
         }
     }

@@ -8,7 +8,9 @@
 //! * `BENCH_odmatrix.json` — adaptive kernel selection vs the
 //!   dense-always word scan per load factor, and the cached all-pairs
 //!   `od_matrix` pipeline vs the per-pair clone-and-rescan baseline
-//!   across RSU counts, load factors, and thread counts (DESIGN.md §13).
+//!   across RSU counts, load factors, and thread counts (DESIGN.md §13),
+//!   plus a 4096-RSU `scale` row: decode time, tag-34 response bytes
+//!   and peak RSS.
 //! * `BENCH_obs.json` — observability overhead (DESIGN.md §14): the
 //!   per-call cost of a disabled, a name-keyed, and a pre-resolved
 //!   counter increment, and the end-to-end ingest / od_matrix cost with
@@ -50,7 +52,7 @@ use std::time::Instant;
 
 use vcps_bench::{
     ingest_mutex_parallel, ingest_workload, od_server, pairwise_dense_baseline, peak_rss_bytes,
-    shard_ingest_workload,
+    reset_peak_rss, shard_ingest_workload,
 };
 use vcps_bitarray::{combined_zero_count, combined_zero_count_adaptive, select_pair_kernel};
 use vcps_core::{RsuId, Scheme, VolumeHistory};
@@ -443,12 +445,51 @@ fn bench_odmatrix_pipeline(samples: usize) -> String {
     rows
 }
 
+/// The all-pairs decode at city scale: 4096 RSUs of metro-shaped arrays
+/// (2^9–2^11 bits, 21% of bits set). Reports the median
+/// `od_matrix_threads` time, the tag-34 response size, the `U_c`
+/// triangle's bytes, what a materialized square of answers would take,
+/// and the process's peak RSS from just before the server is built.
+fn bench_odmatrix_scale(samples: usize) -> String {
+    const RSUS: usize = 4096;
+    const BITS: usize = 1 << 11;
+    const FILL: f64 = 0.21;
+    let threads = default_threads();
+    let reset = reset_peak_rss();
+    let (server, ids) = od_server(RSUS, BITS, FILL, 42);
+    let mut response_bytes = 0;
+    let mut slot_bytes = 0;
+    let od_ns = median_ns(samples, || {
+        let matrix = server.od_matrix_threads(threads).expect("decodable");
+        assert_eq!(matrix.len(), ids.len());
+        slot_bytes = matrix.slots().len() * matrix.slots().width();
+        response_bytes = vcps_net::wire::encode_matrix_response(&matrix).len();
+    });
+    let square_bytes = RSUS * RSUS * std::mem::size_of::<Option<vcps_core::PairEstimate>>();
+    let peak = match (reset, peak_rss_bytes()) {
+        (true, Some(bytes)) => bytes.to_string(),
+        _ => "null".to_string(),
+    };
+    println!(
+        "odmatrix rsus={RSUS} threads={threads} od_matrix {od_ns:>11} ns   response {response_bytes} B   \
+         triangle {slot_bytes} B   square {square_bytes} B   peak rss {peak} B"
+    );
+    format!(
+        "    {{\"rsus\": {RSUS}, \"array_bits\": {BITS}, \"fill\": {FILL}, \
+         \"threads\": {threads}, \"od_matrix_ns\": {od_ns}, \"response_bytes\": {response_bytes}, \
+         \"slot_bytes\": {slot_bytes}, \"square_bytes\": {square_bytes}, \
+         \"peak_rss_bytes\": {peak}}}"
+    )
+}
+
 fn bench_odmatrix(samples: usize) -> String {
     let kernel_rows = bench_odmatrix_kernels(samples);
     let od_rows = bench_odmatrix_pipeline(samples);
+    let scale_row = bench_odmatrix_scale(samples);
     format!(
         "{{\n  \"workload\": {{\"array_bits\": {}, \"samples\": {samples}}},\n  \
-         \"kernel\": [\n{kernel_rows}\n  ],\n  \"od_matrix\": [\n{od_rows}\n  ]\n}}\n",
+         \"kernel\": [\n{kernel_rows}\n  ],\n  \"od_matrix\": [\n{od_rows}\n  ],\n  \
+         \"scale\": [\n{scale_row}\n  ]\n}}\n",
         1usize << 18,
     )
 }
@@ -505,9 +546,8 @@ fn od_obs_ns(
 /// ratios with the handle disabled and enabled. The ingest
 /// "disabled_ratio" is the number the ≤ 2% budget applies to. The
 /// many-pairs O–D "enabled_ratio" is the obs-on budget, since `vcpsd`
-/// always runs with observability on: what is left of it is the one
-/// clock read per decoded pair that the `phase.decode.ns` histogram
-/// needs.
+/// always runs with observability on; the O–D decode reads the clock
+/// twice per block, so the ratio sits near 1.
 fn bench_obs(reports: u64, samples: usize) -> String {
     use vcps_obs::{Level, Obs};
     const MANY_RSUS: usize = 512;

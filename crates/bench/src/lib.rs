@@ -217,6 +217,14 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
+/// Resets this process's peak-RSS high-water mark to its current RSS
+/// (writes `5` to `/proc/self/clear_refs`), so a later
+/// [`peak_rss_bytes`] covers only what ran in between. Returns `false`
+/// where that is unsupported.
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
 pub mod calibrate {
     //! Empirical calibration of the kernel-selection cost model.
     //!

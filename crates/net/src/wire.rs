@@ -18,11 +18,18 @@
 //! floating-point fields travel as IEEE-754 bit patterns
 //! (`f64::to_bits`), so an estimate survives the wire bit-identically —
 //! the property the differential tests pin.
+//!
+//! The O–D response (tag 34, [`encode_matrix_response`]) ships the
+//! matrix's sufficient statistics, not its answers: per-RSU sides
+//! `(m, U, n)` or history, plus the `U_c` triangle in 4- or 8-byte
+//! slots. [`Response::decode`] validates them through
+//! [`OdMatrix::from_parts`] and rebuilds every pair answer with the
+//! server's own function into a [`WireMatrix`].
 
 use std::io::{Read, Write};
 
-use vcps_core::{DegradedEstimate, Estimate, PairEstimate};
-use vcps_sim::ReceiveOutcome;
+use vcps_core::{DegradedEstimate, Estimate, PairEstimate, RsuId};
+use vcps_sim::{OdMatrix, OverlapSlots, ReceiveOutcome, RsuSide};
 
 use crate::NetError;
 
@@ -133,6 +140,11 @@ impl<'a> Cursor<'a> {
         let (head, rest) = self.buf.split_at(n);
         self.buf = rest;
         Ok(head)
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len()
     }
 
     pub(crate) fn finish(self) -> Result<(), NetError> {
@@ -251,7 +263,6 @@ pub fn estimate_bits(e: &PairEstimate) -> Vec<u64> {
 
 const KIND_MEASURED: u8 = 0;
 const KIND_DEGRADED: u8 = 1;
-const KIND_ABSENT: u8 = 2;
 
 fn put_pair_estimate(buf: &mut Vec<u8>, e: &PairEstimate) {
     match e {
@@ -276,7 +287,7 @@ fn put_pair_estimate(buf: &mut Vec<u8>, e: &PairEstimate) {
     }
 }
 
-fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<Option<PairEstimate>, NetError> {
+fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<PairEstimate, NetError> {
     match cur.u8()? {
         KIND_MEASURED => {
             let (n_c, v_x, v_y, v_c) = (cur.f64()?, cur.f64()?, cur.f64()?, cur.f64()?);
@@ -286,7 +297,7 @@ fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<Option<PairEstimate>, NetEr
                 .map_err(|_| NetError::Malformed("array size overflows usize"))?;
             let (n_x, n_y) = (cur.u64()?, cur.u64()?);
             let clamped = cur.u8()? != 0;
-            Ok(Some(PairEstimate::Measured(Estimate {
+            Ok(PairEstimate::Measured(Estimate {
                 n_c,
                 v_x,
                 v_y,
@@ -296,14 +307,14 @@ fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<Option<PairEstimate>, NetEr
                 n_x,
                 n_y,
                 clamped,
-            })))
+            }))
         }
         KIND_DEGRADED => {
             let (n_c, lower, upper) = (cur.f64()?, cur.f64()?, cur.f64()?);
             let (volume_x, volume_y) = (cur.f64()?, cur.f64()?);
             let missing_x = cur.u8()? != 0;
             let missing_y = cur.u8()? != 0;
-            Ok(Some(PairEstimate::Degraded(DegradedEstimate {
+            Ok(PairEstimate::Degraded(DegradedEstimate {
                 n_c,
                 lower,
                 upper,
@@ -311,9 +322,8 @@ fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<Option<PairEstimate>, NetEr
                 volume_y,
                 missing_x,
                 missing_y,
-            })))
+            }))
         }
-        KIND_ABSENT => Ok(None),
         _ => Err(NetError::Malformed("unknown estimate kind")),
     }
 }
@@ -328,7 +338,7 @@ pub fn encode_estimate_response(e: &PairEstimate) -> Vec<u8> {
 
 /// An O–D matrix as decoded off the wire: RSU ids plus the strict upper
 /// triangle of pair answers (the lower triangle is the transpose, as in
-/// [`OdMatrix`](vcps_sim::OdMatrix)).
+/// [`OdMatrix`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireMatrix {
     /// The RSU ids, ascending — row/column order of the triangle.
@@ -355,24 +365,122 @@ impl WireMatrix {
     }
 }
 
-/// Encodes an O–D matrix response (tag 34) from the server's matrix.
+impl From<&OdMatrix> for WireMatrix {
+    /// Expands every upper-triangle answer from the matrix's statistics.
+    fn from(matrix: &OdMatrix) -> Self {
+        let n = matrix.len();
+        Self {
+            rsus: matrix.rsus().iter().map(|r| r.0).collect(),
+            entries: (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| matrix.estimate(i, j)))
+                .collect(),
+        }
+    }
+}
+
+const SIDE_UPLOAD: u8 = 0;
+const SIDE_HISTORY: u8 = 1;
+const SIDE_NONE: u8 = 2;
+
+/// Encodes an O–D matrix response (tag 34) from the matrix's
+/// statistics: `[34][n u64][s u64][width u8]`, then `n` RSU ids (`u64`),
+/// `n` sides, and the `n(n−1)/2` `U_c` slots, `width` (4 or 8) bytes
+/// each, all-ones meaning no decoded overlap. A side is
+/// `[0][m u64][zeros u64][counter u64]` (an upload),
+/// `[1][average f64 bits]` (history) or `[2]` (neither). No pair answer
+/// is computed: the reader rebuilds them ([`Response::decode`]).
 #[must_use]
-pub fn encode_matrix_response(matrix: &vcps_sim::OdMatrix) -> Vec<u8> {
+pub fn encode_matrix_response(matrix: &OdMatrix) -> Vec<u8> {
     let n = matrix.len();
-    let mut buf = vec![RESP_MATRIX];
+    let slots = matrix.slots();
+    let mut buf = Vec::with_capacity(18 + n * 33 + slots.len() * slots.width());
+    buf.push(RESP_MATRIX);
     buf.extend_from_slice(&(n as u64).to_be_bytes());
+    buf.extend_from_slice(&(matrix.s() as u64).to_be_bytes());
+    buf.push(slots.width() as u8);
     for rsu in matrix.rsus() {
         buf.extend_from_slice(&rsu.0.to_be_bytes());
     }
-    for i in 0..n {
-        for j in i + 1..n {
-            match matrix.at(i, j) {
-                Some(e) => put_pair_estimate(&mut buf, e),
-                None => buf.push(KIND_ABSENT),
+    for side in matrix.sides() {
+        match *side {
+            RsuSide::Upload { m, zeros, counter } => {
+                buf.push(SIDE_UPLOAD);
+                for v in [m as u64, zeros as u64, counter] {
+                    buf.extend_from_slice(&v.to_be_bytes());
+                }
             }
+            RsuSide::History(Some(average)) => {
+                buf.push(SIDE_HISTORY);
+                buf.extend_from_slice(&average.to_bits().to_be_bytes());
+            }
+            RsuSide::History(None) => buf.push(SIDE_NONE),
         }
     }
+    match slots {
+        OverlapSlots::Narrow(v) => v
+            .iter()
+            .for_each(|x| buf.extend_from_slice(&x.to_be_bytes())),
+        OverlapSlots::Wide(v) => v
+            .iter()
+            .for_each(|x| buf.extend_from_slice(&x.to_be_bytes())),
+    }
     buf
+}
+
+/// Reads a tag-34 body (after the tag) and validates it through
+/// [`OdMatrix::from_parts`]. Every count is checked against the bytes
+/// actually left before anything is reserved, so an over-claimed `n`
+/// costs nothing.
+fn get_matrix(cur: &mut Cursor<'_>) -> Result<OdMatrix, NetError> {
+    let to_usize = |v: u64| {
+        usize::try_from(v).map_err(|_| NetError::Malformed("matrix field overflows usize"))
+    };
+    let n = to_usize(cur.u64()?)?;
+    let s = to_usize(cur.u64()?)?;
+    let width = usize::from(cur.u8()?);
+    if width != 4 && width != 8 {
+        return Err(NetError::Malformed("unknown matrix slot width"));
+    }
+    // Each RSU costs at least its 8-byte id and a 1-byte side.
+    if n > cur.remaining() / 9 {
+        return Err(NetError::Malformed("matrix RSU count exceeds the payload"));
+    }
+    let mut rsus = Vec::with_capacity(n);
+    for _ in 0..n {
+        rsus.push(RsuId(cur.u64()?));
+    }
+    let mut sides = Vec::with_capacity(n);
+    for _ in 0..n {
+        sides.push(match cur.u8()? {
+            SIDE_UPLOAD => RsuSide::Upload {
+                m: to_usize(cur.u64()?)?,
+                zeros: to_usize(cur.u64()?)?,
+                counter: cur.u64()?,
+            },
+            SIDE_HISTORY => RsuSide::History(Some(cur.f64()?)),
+            SIDE_NONE => RsuSide::History(None),
+            _ => return Err(NetError::Malformed("unknown matrix side kind")),
+        });
+    }
+    let pairs = n * n.saturating_sub(1) / 2;
+    if cur.remaining() / width < pairs {
+        return Err(NetError::Malformed("truncated payload"));
+    }
+    let raw = cur.bytes(pairs * width)?;
+    let slots = if width == 4 {
+        OverlapSlots::Narrow(
+            raw.chunks_exact(4)
+                .map(|c| u32::from_be_bytes(c.try_into().expect("four bytes")))
+                .collect(),
+        )
+    } else {
+        OverlapSlots::Wide(
+            raw.chunks_exact(8)
+                .map(|c| u64::from_be_bytes(c.try_into().expect("eight bytes")))
+                .collect(),
+        )
+    };
+    OdMatrix::from_parts(rsus, s, sides, slots).map_err(NetError::from)
 }
 
 /// Encodes a next-period sizes response (tag 35).
@@ -427,27 +535,8 @@ impl Response {
         let mut cur = Cursor::new(payload);
         let resp = match cur.u8()? {
             RESP_ACK => Response::Ack(AckSummary::decode_body(&mut cur)?),
-            RESP_ESTIMATE => {
-                let e = get_pair_estimate(&mut cur)?
-                    .ok_or(NetError::Malformed("estimate response without estimate"))?;
-                Response::Estimate(e)
-            }
-            RESP_MATRIX => {
-                let n = usize::try_from(cur.u64()?)
-                    .map_err(|_| NetError::Malformed("matrix size overflows usize"))?;
-                // n is bounded by the frame length: every RSU id costs 8
-                // bytes, so an over-claimed n fails the reads below
-                // rather than a giant reservation here.
-                let mut rsus = Vec::new();
-                for _ in 0..n {
-                    rsus.push(cur.u64()?);
-                }
-                let mut entries = Vec::new();
-                for _ in 0..n * (n.saturating_sub(1)) / 2 {
-                    entries.push(get_pair_estimate(&mut cur)?);
-                }
-                Response::Matrix(WireMatrix { rsus, entries })
-            }
+            RESP_ESTIMATE => Response::Estimate(get_pair_estimate(&mut cur)?),
+            RESP_MATRIX => Response::Matrix(WireMatrix::from(&get_matrix(&mut cur)?)),
             RESP_SIZES => {
                 let n = usize::try_from(cur.u64()?)
                     .map_err(|_| NetError::Malformed("sizes count overflows usize"))?;
@@ -585,6 +674,241 @@ mod tests {
             Response::Error(msg) => assert_eq!(msg, "nope"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Tag 34, frozen: five RSUs with `s = 2` and 4-byte slots. R1–R4
+    /// uploaded (8, 16, 16 and 12 bits; R3 saturated), R5 is known only
+    /// from history (7.5). Pair (R1, R2) is measured (`U_c = 7`), (R1,
+    /// R3) and (R2, R3) clamped (`U_c = 0`), R4's 12 bits do not nest
+    /// with 8 or 16 (no slot: degraded from counters), and every pair
+    /// with R5 degrades on its history.
+    const GOLDEN_MATRIX: &str = concat!(
+        "2200000000000000050000000000000002040000000000000001000000000000",
+        "0002000000000000000300000000000000040000000000000005000000000000",
+        "0000080000000000000005000000000000000300000000000000001000000000",
+        "0000000900000000000000060000000000000000100000000000000000000000",
+        "000000005a00000000000000000c000000000000000600000000000000050140",
+        "1e0000000000000000000700000000ffffffffffffffff00000000ffffffffff",
+        "ffffffffffffffffffffffffffffff",
+    );
+
+    /// Tag 34, frozen: one RSU (R9) with neither upload nor history —
+    /// legal because the matrix has no pair.
+    const GOLDEN_LONE_MATRIX: &str = "220000000000000001000000000000000204000000000000000902";
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    fn golden_matrix() -> OdMatrix {
+        let upload = |m, zeros, counter| RsuSide::Upload { m, zeros, counter };
+        let none = u32::MAX;
+        OdMatrix::from_parts(
+            (1..=5).map(RsuId).collect(),
+            2,
+            vec![
+                upload(8, 5, 3),
+                upload(16, 9, 6),
+                upload(16, 0, 90),
+                upload(12, 6, 5),
+                RsuSide::History(Some(7.5)),
+            ],
+            OverlapSlots::Narrow(vec![7, 0, none, none, 0, none, none, none, none, none]),
+        )
+        .expect("valid parts")
+    }
+
+    fn decode_matrix(payload: &[u8]) -> Result<WireMatrix, NetError> {
+        match Response::decode(payload)? {
+            Response::Matrix(m) => Ok(m),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn matrix_response_matches_golden_vector() {
+        let golden = unhex(GOLDEN_MATRIX);
+        assert_eq!(encode_matrix_response(&golden_matrix()), golden);
+        let wire = decode_matrix(&golden).expect("golden decodes");
+        assert_eq!(wire, WireMatrix::from(&golden_matrix()));
+        assert_eq!(wire.rsus, vec![1, 2, 3, 4, 5]);
+
+        let counts = vcps_core::estimator::PairCounts {
+            m_x: 8,
+            m_y: 16,
+            u_x: 5,
+            u_y: 9,
+            u_c: 7,
+            n_x: 3,
+            n_y: 6,
+        };
+        let expected = vcps_core::estimator::estimate_from_counts_or_clamp(&counts, 2).unwrap();
+        match wire.at(0, 1) {
+            Some(PairEstimate::Measured(e)) => {
+                assert_eq!(e.n_c.to_bits(), expected.n_c.to_bits());
+                assert!(!e.clamped);
+            }
+            other => panic!("(R1, R2) should be measured: {other:?}"),
+        }
+        for (i, j) in [(0, 2), (1, 2)] {
+            assert!(matches!(wire.at(i, j), Some(PairEstimate::Measured(e)) if e.clamped));
+        }
+        for j in 0..3 {
+            match wire.at(j, 3) {
+                Some(PairEstimate::Degraded(d)) => assert!(!d.missing_x && !d.missing_y),
+                other => panic!("pair ({j}, 3) should degrade on counters: {other:?}"),
+            }
+            match wire.at(j, 4) {
+                Some(PairEstimate::Degraded(d)) => {
+                    assert!(d.missing_y && !d.missing_x);
+                    assert_eq!(d.volume_y, 7.5);
+                }
+                other => panic!("pair ({j}, 4) should degrade on history: {other:?}"),
+            }
+        }
+
+        let lone = OdMatrix::from_parts(
+            vec![RsuId(9)],
+            2,
+            vec![RsuSide::History(None)],
+            OverlapSlots::Narrow(Vec::new()),
+        )
+        .expect("a lone RSU needs no volume");
+        let lone_golden = unhex(GOLDEN_LONE_MATRIX);
+        assert_eq!(encode_matrix_response(&lone), lone_golden);
+        let wire = decode_matrix(&lone_golden).expect("lone golden decodes");
+        assert_eq!(wire.rsus, vec![9]);
+        assert!(wire.entries.is_empty());
+    }
+
+    #[test]
+    fn wide_matrix_response_roundtrips() {
+        // A 2^32-bit array cannot use 4-byte slots; no array is built.
+        let matrix = OdMatrix::from_parts(
+            vec![RsuId(1), RsuId(2)],
+            3,
+            vec![
+                RsuSide::Upload {
+                    m: 1 << 31,
+                    zeros: 1 << 30,
+                    counter: 40,
+                },
+                RsuSide::Upload {
+                    m: 1 << 32,
+                    zeros: 1 << 31,
+                    counter: 70,
+                },
+            ],
+            OverlapSlots::Wide(vec![(1 << 31) - 5]),
+        )
+        .expect("valid wide parts");
+        let payload = encode_matrix_response(&matrix);
+        assert_eq!(payload[17], 8, "slot width byte");
+        let wire = decode_matrix(&payload).expect("wide decodes");
+        let expected = matrix.estimate(0, 1).expect("a pair");
+        assert!(matches!(expected, PairEstimate::Measured(_)));
+        assert_eq!(
+            wire.at(0, 1).map(|e| estimate_bits(&e)),
+            Some(estimate_bits(&expected))
+        );
+    }
+
+    /// Applies `edit` to the golden frame and asserts it decodes to
+    /// `Malformed` (with `reason`, when given).
+    fn assert_malformed(reason: Option<&str>, edit: impl FnOnce(&mut Vec<u8>)) {
+        let mut payload = unhex(GOLDEN_MATRIX);
+        edit(&mut payload);
+        match decode_matrix(&payload) {
+            Err(NetError::Malformed(got)) => {
+                if let Some(reason) = reason {
+                    assert_eq!(got, reason);
+                }
+            }
+            other => panic!("expected Malformed({reason:?}), got {other:?}"),
+        }
+    }
+
+    fn put_u64(payload: &mut [u8], at: usize, v: u64) {
+        payload[at..at + 8].copy_from_slice(&v.to_be_bytes());
+    }
+
+    // Golden frame offsets: n at 1, s at 9, width at 17, ids at 18,
+    // sides from 58 (25 bytes per upload: R1 at 58, R2 at 83, R3 at 108,
+    // R4 at 133; R5's history at 158), slots from 167.
+    const SIDE_R1: usize = 58;
+    const SIDE_R4: usize = 133;
+    const SIDE_R5: usize = 158;
+    const SLOTS: usize = 167;
+
+    #[test]
+    fn matrix_truncated_at_every_byte_is_malformed() {
+        let golden = unhex(GOLDEN_MATRIX);
+        for len in 0..golden.len() {
+            assert!(
+                matches!(decode_matrix(&golden[..len]), Err(NetError::Malformed(_))),
+                "truncated to {len} bytes"
+            );
+        }
+        assert_malformed(Some("trailing bytes in payload"), |p| p.push(0));
+    }
+
+    #[test]
+    fn matrix_overclaimed_rsu_count_is_malformed_before_allocation() {
+        // Reserving for any of these counts would abort the process.
+        for n in [u64::MAX, 1 << 60, 1 << 40, 22] {
+            assert_malformed(Some("matrix RSU count exceeds the payload"), |p| {
+                put_u64(p, 1, n);
+            });
+        }
+        // A count the payload could hold misaligns every later field.
+        for n in [6, 7, 20] {
+            assert_malformed(None, |p| put_u64(p, 1, n));
+        }
+    }
+
+    #[test]
+    fn matrix_hostile_fields_are_malformed() {
+        let side = "O–D matrix side with m < 2 or zeros > m";
+        assert_malformed(Some(side), |p| put_u64(p, SIDE_R1 + 9, 9));
+        assert_malformed(Some(side), |p| {
+            put_u64(p, SIDE_R4 + 1, 1);
+            put_u64(p, SIDE_R4 + 9, 1);
+        });
+        assert_malformed(
+            Some("O–D matrix overlap slot above the larger array size"),
+            |p| p[SLOTS..SLOTS + 4].copy_from_slice(&17u32.to_be_bytes()),
+        );
+        assert_malformed(
+            Some("O–D matrix overlap slot for a pair without two uploads"),
+            |p| p[SLOTS + 12..SLOTS + 16].copy_from_slice(&0u32.to_be_bytes()),
+        );
+        assert_malformed(Some("unknown matrix side kind"), |p| p[SIDE_R1] = 3);
+        for width in [0, 1, 5, 16, 255] {
+            assert_malformed(Some("unknown matrix slot width"), |p| p[17] = width);
+        }
+        // Width 8 over 4-byte slots: the triangle no longer fits.
+        assert_malformed(Some("truncated payload"), |p| p[17] = 8);
+        assert_malformed(Some("O–D matrix RSU ids not strictly ascending"), |p| {
+            put_u64(p, 18 + 8, 3);
+            put_u64(p, 18 + 16, 2);
+        });
+        assert_malformed(Some("O–D matrix RSU ids not strictly ascending"), |p| {
+            put_u64(p, 18 + 8, 1);
+        });
+        assert_malformed(
+            Some("O–D matrix side with neither upload nor history"),
+            |p| {
+                p.splice(SIDE_R5..SLOTS, [2]);
+            },
+        );
+        assert_malformed(
+            Some("O–D matrix side with an invalid history average"),
+            |p| put_u64(p, SIDE_R5 + 1, f64::NAN.to_bits()),
+        );
+        assert_malformed(Some("O–D matrix with s = 0"), |p| put_u64(p, 9, 0));
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub use protocol::{
 };
 pub use rsu::SimRsu;
 pub use runner::{PairOutcome, PairRunner};
-pub use server::{OdMatrix, ReceiveOutcome};
+pub use server::{OdMatrix, OverlapSlots, ReceiveOutcome, RsuSide};
 pub use shard::{shard_for, ShardedServer};
 pub use vcps_durable::FlushPolicy;
 pub use vehicle::SimVehicle;

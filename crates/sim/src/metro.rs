@@ -340,13 +340,13 @@ impl SlidingWindow {
         let mut degraded_periods = 0usize;
         let mut latest = None;
         for matrix in &self.matrices {
-            if let Some(estimate) = matrix.get(a, b) {
+            if let Some(estimate) = matrix.estimate_for(a, b) {
                 sum += estimate.n_c();
                 periods += 1;
                 if estimate.is_degraded() {
                     degraded_periods += 1;
                 }
-                latest = Some(*estimate);
+                latest = Some(estimate);
             }
         }
         match latest {

@@ -11,6 +11,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -69,6 +70,19 @@ impl<'a> RsuDecodeRef<'a> {
             }));
         }
         Ok(upload)
+    }
+
+    /// What this RSU contributes to each of its pair answers: its
+    /// decodable upload's Eq. 5 inputs, else its volume history.
+    pub(crate) fn side(&self) -> RsuSide {
+        match self.decodable() {
+            Ok(upload) => RsuSide::Upload {
+                m: upload.bits.len(),
+                zeros: upload.bits.count_zeros(),
+                counter: upload.counter,
+            },
+            Err(_) => RsuSide::History(self.history.average(self.rsu)),
+        }
     }
 }
 
@@ -171,53 +185,108 @@ impl<'a> OrientedPair<'a> {
     }
 }
 
-/// Answers a pair query even when uploads are missing: full decode
-/// (`counts`, memoized or matrix-local) when both sides are decodable
-/// ([`PairEstimate::Measured`]), otherwise a history-backed fallback
-/// ([`PairEstimate::Degraded`]) that brackets the overlap with the
-/// feasible interval `[0, min(n̄_x, n̄_y)]`. A present side contributes
-/// its measured counter; a missing side its EWMA volume history.
-///
-/// Returns [`SimError::MissingUpload`] only when a side has *neither*
-/// an upload nor any volume history.
-pub(crate) fn pair_estimate(
-    scheme: &Scheme,
-    a: &RsuDecodeRef<'_>,
-    b: &RsuDecodeRef<'_>,
-    counts: impl FnOnce() -> Result<PairCounts, SimError>,
-) -> Result<PairEstimate, SimError> {
-    match (a.decodable(), b.decodable()) {
-        (Ok(x), Ok(y)) => {
-            match counts().and_then(|c| Ok(estimate_from_counts_or_clamp(&c, scheme.s())?)) {
-                Ok(e) => Ok(PairEstimate::Measured(e)),
-                // Uploads present but not comparable (e.g. a corrupted
-                // size that slipped through): counters still bound the
-                // overlap, so degrade rather than fail.
-                Err(_) => Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
-                    x.counter as f64,
-                    y.counter as f64,
-                    false,
-                    false,
-                ))),
-            }
-        }
-        (ra, rb) => {
-            let missing_a = ra.is_err();
-            let missing_b = rb.is_err();
-            let volume_of = |d: &RsuDecodeRef<'_>, r: Result<&PeriodUpload, SimError>| match r {
-                Ok(u) => Ok(u.counter as f64),
-                Err(_) => d
-                    .history
-                    .average(d.rsu)
-                    .ok_or(SimError::MissingUpload { rsu: d.rsu }),
-            };
-            let va = volume_of(a, ra)?;
-            let vb = volume_of(b, rb)?;
-            Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
-                va, vb, missing_a, missing_b,
-            )))
-        }
+/// One RSU's share of the sufficient statistics behind every pair
+/// answer it takes part in (paper Eq. 5 needs per-RSU `(m, U, n)` plus
+/// one per-pair `U_c`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RsuSide {
+    /// A decodable upload (at least 2 bits).
+    Upload {
+        /// Array size `m`.
+        m: usize,
+        /// Zero count `U`.
+        zeros: usize,
+        /// The RSU's vehicle counter `n`.
+        counter: u64,
+    },
+    /// No decodable upload this period: the RSU's EWMA volume history,
+    /// `None` if the server has none.
+    History(Option<f64>),
+}
+
+impl RsuSide {
+    pub(crate) fn is_upload(self) -> bool {
+        matches!(self, RsuSide::Upload { .. })
     }
+}
+
+/// The one place Eq. 5 and its degraded arm are applied: turns two
+/// sides and the pair's decoded `U_c` (`None` when nothing was decoded)
+/// into the answer. The memoized single-pair path,
+/// [`OdMatrix::estimate`] and a matrix rebuilt off the wire all answer
+/// through it, so they agree bit for bit by construction.
+///
+/// Two uploads with a `U_c` give [`PairEstimate::Measured`] (saturated
+/// counts clamped), oriented by [`first_plays_x`]. Otherwise the answer
+/// is [`PairEstimate::Degraded`], bracketing the overlap with the
+/// feasible interval `[0, min(n̄_x, n̄_y)]`: an upload contributes its
+/// counter, a history side its EWMA average. Two uploads without a
+/// `U_c` (sizes the kernel rejected as not nested) still bound the
+/// overlap by their counters, so they degrade rather than fail.
+///
+/// Returns [`SimError::MissingUpload`] only when a side in the degraded
+/// arm has neither an upload nor any volume history.
+pub(crate) fn pair_answer(
+    s: usize,
+    (rsu_a, a): (RsuId, RsuSide),
+    (rsu_b, b): (RsuId, RsuSide),
+    u_c: Option<usize>,
+) -> Result<PairEstimate, SimError> {
+    if let (
+        RsuSide::Upload {
+            m: m_a,
+            zeros: u_a,
+            counter: n_a,
+        },
+        RsuSide::Upload {
+            m: m_b,
+            zeros: u_b,
+            counter: n_b,
+        },
+    ) = (a, b)
+    {
+        let measured = u_c.and_then(|u_c| {
+            let counts = if first_plays_x(m_a, n_a, rsu_a, m_b, n_b, rsu_b) {
+                PairCounts {
+                    m_x: m_a,
+                    m_y: m_b,
+                    u_x: u_a,
+                    u_y: u_b,
+                    u_c,
+                    n_x: n_a,
+                    n_y: n_b,
+                }
+            } else {
+                PairCounts {
+                    m_x: m_b,
+                    m_y: m_a,
+                    u_x: u_b,
+                    u_y: u_a,
+                    u_c,
+                    n_x: n_b,
+                    n_y: n_a,
+                }
+            };
+            estimate_from_counts_or_clamp(&counts, s).ok()
+        });
+        return Ok(match measured {
+            Some(e) => PairEstimate::Measured(e),
+            None => PairEstimate::Degraded(DegradedEstimate::from_volumes(
+                n_a as f64, n_b as f64, false, false,
+            )),
+        });
+    }
+    let volume = |rsu: RsuId, side: RsuSide| match side {
+        RsuSide::Upload { counter, .. } => Ok(counter as f64),
+        RsuSide::History(average) => average.ok_or(SimError::MissingUpload { rsu }),
+    };
+    let (va, vb) = (volume(rsu_a, a)?, volume(rsu_b, b)?);
+    Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
+        va,
+        vb,
+        !a.is_upload(),
+        !b.is_upload(),
+    )))
 }
 
 /// Pair count below which the all-pairs decoder estimates the triangle's
@@ -309,7 +378,7 @@ pub(crate) fn od_effective_threads(
 
 /// O–D triangle blocks per worker thread: enough that the pool's range
 /// claiming can even out rows of uneven decode cost, few enough that
-/// per-block setup (a result vector, a tally, one clock read) stays
+/// per-block setup (a slot vector, a tally, two clock reads) stays
 /// negligible next to thousands of pair decodes.
 pub(crate) const OD_BLOCKS_PER_THREAD: usize = 8;
 
@@ -354,9 +423,11 @@ pub(crate) fn triangle_blocks(n: usize, blocks: usize) -> Vec<TriangleBlock> {
 
 /// What one O–D worker block observed about its decodes: pairs decoded
 /// per kernel (indexed by `PairKernel as usize`) and a histogram of
-/// per-pair decode nanoseconds. Workers fill their own tally in plain
-/// memory; the caller folds the tallies after the join and records
-/// each metric once, so workers share no metric cache line.
+/// per-pair decode nanoseconds (each block's mean, weighted by its
+/// decode count; see [`record_block`](Self::record_block)). Workers
+/// fill their own tally in plain memory; the caller folds the tallies
+/// after the join and records each metric once, so workers share no
+/// metric cache line.
 #[derive(Debug, Default)]
 pub(crate) struct DecodeTally {
     pub(crate) kernels: [u64; 4],
@@ -370,6 +441,46 @@ impl DecodeTally {
             *mine += theirs;
         }
         self.ns.merge(&other.ns);
+    }
+
+    /// Records a block that decoded `decoded` pairs in `ns` wall-clock
+    /// nanoseconds as `decoded` samples of the per-pair mean. The
+    /// remainder goes to `ns % decoded` samples one nanosecond above
+    /// the mean, so the histogram's count is the decode count and its
+    /// sum the block's wall time, both exactly.
+    pub(crate) fn record_block(&mut self, ns: u64, decoded: u64) {
+        if decoded == 0 {
+            return;
+        }
+        let (mean, rest) = (ns / decoded, ns % decoded);
+        self.ns.record_n(mean, decoded - rest);
+        if rest > 0 {
+            self.ns.record_n(mean + 1, rest);
+        }
+    }
+}
+
+/// A `U_c` slot of an [`OdMatrix`] triangle: `NONE` marks a pair with
+/// no decoded overlap.
+pub(crate) trait Slot: Copy + Send {
+    const NONE: Self;
+    /// The slot holding `u_c`; the caller picked a width that holds
+    /// every `U_c` below `NONE` ([`OverlapSlots::needs_wide`]).
+    fn of(u_c: usize) -> Self;
+}
+
+impl Slot for u32 {
+    const NONE: Self = u32::MAX;
+    fn of(u_c: usize) -> Self {
+        debug_assert!(u_c < u32::MAX as usize);
+        u_c as u32
+    }
+}
+
+impl Slot for u64 {
+    const NONE: Self = u64::MAX;
+    fn of(u_c: usize) -> Self {
+        u_c as u64
     }
 }
 
@@ -397,45 +508,232 @@ pub enum ReceiveOutcome {
     Stale,
 }
 
-/// One period's origin–destination matrix: the [`PairEstimate`] for
-/// every unordered pair of RSUs the server knows about (uploads and
-/// volume history), produced by [`crate::ShardedServer::od_matrix`].
+/// The upper triangle of an [`OdMatrix`]'s per-pair `U_c` (zero count
+/// of the combined array, paper Eq. 4), row-major over `(i, j)`,
+/// `i < j`. The all-ones value of each width marks a pair with no
+/// decoded overlap: a side without a decodable upload, or sizes the
+/// kernel rejected as not nested.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OverlapSlots {
+    /// 4-byte slots, `u32::MAX` = none. Used whenever every decodable
+    /// array is below `u32::MAX` bits, so every `U_c` fits under the
+    /// sentinel.
+    Narrow(Vec<u32>),
+    /// 8-byte slots, `u64::MAX` = none: some decodable array has at
+    /// least `u32::MAX` bits (the protocol admits up to `2^32`).
+    Wide(Vec<u64>),
+}
+
+impl OverlapSlots {
+    /// `true` if `sides` need [`OverlapSlots::Wide`]: some decodable
+    /// array is too large for a `U_c` to stay below the `u32` sentinel.
+    #[must_use]
+    pub fn needs_wide(sides: &[RsuSide]) -> bool {
+        sides
+            .iter()
+            .any(|side| matches!(*side, RsuSide::Upload { m, .. } if m >= u32::MAX as usize))
+    }
+
+    /// Number of slots (pairs).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            OverlapSlots::Narrow(v) => v.len(),
+            OverlapSlots::Wide(v) => v.len(),
+        }
+    }
+
+    /// `true` if there are no pairs.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes per slot: 4 or 8.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        match self {
+            OverlapSlots::Narrow(_) => 4,
+            OverlapSlots::Wide(_) => 8,
+        }
+    }
+
+    /// The `U_c` in slot `k`, `None` for the sentinel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not below [`len`](Self::len).
+    #[must_use]
+    pub fn get(&self, k: usize) -> Option<usize> {
+        match self {
+            OverlapSlots::Narrow(v) => (v[k] != u32::MAX).then(|| v[k] as usize),
+            OverlapSlots::Wide(v) => (v[k] != u64::MAX).then(|| v[k] as usize),
+        }
+    }
+}
+
+/// Index of pair `(i, j)`, `i < j`, in a row-major upper triangle over
+/// `n` RSUs.
+fn triangle_index(n: usize, i: usize, j: usize) -> usize {
+    i * n - i * (i + 1) / 2 + (j - i - 1)
+}
+
+/// One period's origin–destination matrix over every RSU the server
+/// knows about (uploads and volume history), produced by
+/// [`crate::ShardedServer::od_matrix`].
 ///
-/// Stored row-major over the sorted RSU list; the diagonal is `None`
-/// (an RSU's "overlap with itself" is just its counter, not an O–D
-/// flow) and each pair is decoded once — the mirror entry is the same
-/// estimate with the argument roles swapped
-/// ([`PairEstimate::transposed`]), so `at(i, j)` always equals
-/// `estimate_or_degraded(rsus[i], rsus[j])` exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// It holds the sufficient statistics, not the answers: the sorted RSU
+/// axis, the scheme's `s`, one [`RsuSide`] per RSU and one `U_c` slot
+/// per unordered pair ([`OverlapSlots`]) — 4 bytes per pair instead of
+/// two 72-byte [`PairEstimate`]s. [`estimate`](Self::estimate) answers a
+/// pair by value through the same function as
+/// [`crate::ShardedServer::estimate_or_degraded`], so the two agree bit
+/// for bit. The borrowing accessors ([`at`](Self::at),
+/// [`get`](Self::get), [`iter_pairs`](Self::iter_pairs)) read a full
+/// `len × len` square of answers, built once on first use and kept; the
+/// daemon only encodes the statistics and never builds it.
+///
+/// The diagonal is `None` (an RSU's "overlap with itself" is just its
+/// counter, not an O–D flow); `(j, i)` is `(i, j)` with the argument
+/// roles swapped ([`PairEstimate::transposed`]).
+#[derive(Clone, Serialize, Deserialize)]
 pub struct OdMatrix {
     rsus: Vec<RsuId>,
-    entries: Vec<Option<PairEstimate>>,
+    s: usize,
+    sides: Vec<RsuSide>,
+    slots: OverlapSlots,
+    square: OnceLock<Vec<Option<PairEstimate>>>,
+}
+
+impl PartialEq for OdMatrix {
+    /// Equal statistics; whether a square has been built is not compared.
+    fn eq(&self, other: &Self) -> bool {
+        self.rsus == other.rsus
+            && self.s == other.s
+            && self.sides == other.sides
+            && self.slots == other.slots
+    }
+}
+
+impl std::fmt::Debug for OdMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OdMatrix")
+            .field("rsus", &self.rsus)
+            .field("s", &self.s)
+            .field("sides", &self.sides)
+            .field("slots", &self.slots)
+            .finish_non_exhaustive()
+    }
 }
 
 impl OdMatrix {
-    /// Assembles a matrix from the upper-triangle estimates computed by
-    /// the decode fan-out, in row-major `(i, j)`, `i < j` order: each
-    /// estimate fills its entry and its transposed mirror.
-    pub(crate) fn from_triangle(
+    /// A matrix from statistics the server decoded itself, which hold
+    /// [`from_parts`](Self::from_parts)'s invariants by construction.
+    pub(crate) fn from_decoded(
         rsus: Vec<RsuId>,
-        computed: impl IntoIterator<Item = Result<PairEstimate, SimError>>,
-    ) -> Result<Self, SimError> {
-        let n = rsus.len();
-        let mut entries = vec![None; n * n];
-        let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
-        for ((i, j), result) in pairs.zip(computed) {
-            let estimate = result?;
-            entries[j * n + i] = Some(estimate.transposed());
-            entries[i * n + j] = Some(estimate);
+        s: usize,
+        sides: Vec<RsuSide>,
+        slots: OverlapSlots,
+    ) -> Self {
+        debug_assert_eq!(sides.len(), rsus.len());
+        debug_assert_eq!(slots.len(), rsus.len() * rsus.len().saturating_sub(1) / 2);
+        Self {
+            rsus,
+            s,
+            sides,
+            slots,
+            square: OnceLock::new(),
         }
-        Ok(Self { rsus, entries })
+    }
+
+    /// Rebuilds a matrix from its statistics — the RSU axis, `s`, one
+    /// side per RSU and the `U_c` triangle — as read off the wire,
+    /// checking everything a pair answer relies on.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedMessage`] if `s` is 0; the RSU ids are not
+    /// strictly ascending; the side or slot counts do not match the
+    /// axis; an upload side has `m < 2` or `zeros > m`; a history
+    /// average is negative or not finite; a side has neither upload nor
+    /// history while some pair needs it (two or more RSUs); `Narrow`
+    /// slots carry an array of `u32::MAX` bits or more; or a slot holds
+    /// a `U_c` for a pair without two uploads, or one above the larger
+    /// array's size.
+    pub fn from_parts(
+        rsus: Vec<RsuId>,
+        s: usize,
+        sides: Vec<RsuSide>,
+        slots: OverlapSlots,
+    ) -> Result<Self, SimError> {
+        let malformed = |reason| Err(SimError::MalformedMessage { reason });
+        let n = rsus.len();
+        if s == 0 {
+            return malformed("O–D matrix with s = 0");
+        }
+        if rsus.windows(2).any(|w| w[0] >= w[1]) {
+            return malformed("O–D matrix RSU ids not strictly ascending");
+        }
+        if sides.len() != n || slots.len() != n * n.saturating_sub(1) / 2 {
+            return malformed("O–D matrix part counts do not match its axis");
+        }
+        for side in &sides {
+            match *side {
+                RsuSide::Upload { m, zeros, .. } if m < 2 || zeros > m => {
+                    return malformed("O–D matrix side with m < 2 or zeros > m");
+                }
+                RsuSide::History(Some(average)) if !(average.is_finite() && average >= 0.0) => {
+                    return malformed("O–D matrix side with an invalid history average");
+                }
+                RsuSide::History(None) if n >= 2 => {
+                    return malformed("O–D matrix side with neither upload nor history");
+                }
+                _ => {}
+            }
+        }
+        if matches!(slots, OverlapSlots::Narrow(_)) && OverlapSlots::needs_wide(&sides) {
+            return malformed("O–D matrix narrow slots for an array of 2^32 bits");
+        }
+        let mut k = 0;
+        for (i, a) in sides.iter().enumerate() {
+            for b in &sides[i + 1..] {
+                if let Some(u_c) = slots.get(k) {
+                    let (RsuSide::Upload { m: m_a, .. }, RsuSide::Upload { m: m_b, .. }) = (a, b)
+                    else {
+                        return malformed("O–D matrix overlap slot for a pair without two uploads");
+                    };
+                    if u_c > *m_a.max(m_b) {
+                        return malformed("O–D matrix overlap slot above the larger array size");
+                    }
+                }
+                k += 1;
+            }
+        }
+        Ok(Self::from_decoded(rsus, s, sides, slots))
     }
 
     /// The RSUs covered, in ascending id order (the matrix axes).
     #[must_use]
     pub fn rsus(&self) -> &[RsuId] {
         &self.rsus
+    }
+
+    /// The scheme's `s` the answers are decoded with.
+    #[must_use]
+    pub fn s(&self) -> usize {
+        self.s
+    }
+
+    /// Each RSU's side, aligned with [`rsus`](Self::rsus).
+    #[must_use]
+    pub fn sides(&self) -> &[RsuSide] {
+        &self.sides
+    }
+
+    /// The `U_c` triangle.
+    #[must_use]
+    pub fn slots(&self) -> &OverlapSlots {
+        &self.slots
     }
 
     /// Number of RSUs covered (the matrix is `len × len`).
@@ -450,8 +748,57 @@ impl OdMatrix {
         self.rsus.is_empty()
     }
 
+    /// The answer at row `i`, column `j`, computed from the statistics
+    /// (`None` on the diagonal). Builds no square.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `j` is not below [`len`](OdMatrix::len).
+    #[must_use]
+    pub fn estimate(&self, i: usize, j: usize) -> Option<PairEstimate> {
+        let n = self.len();
+        assert!(i < n && j < n, "index out of range");
+        if i == j {
+            return None;
+        }
+        let k = triangle_index(n, i.min(j), i.max(j));
+        let answer = pair_answer(
+            self.s,
+            (self.rsus[i], self.sides[i]),
+            (self.rsus[j], self.sides[j]),
+            self.slots.get(k),
+        );
+        Some(answer.expect("every side of a multi-RSU matrix has an upload or history"))
+    }
+
+    /// [`estimate`](Self::estimate) by RSU id, `None` if either RSU is
+    /// not covered or `a == b`. Builds no square.
+    #[must_use]
+    pub fn estimate_for(&self, a: RsuId, b: RsuId) -> Option<PairEstimate> {
+        let i = self.rsus.binary_search(&a).ok()?;
+        let j = self.rsus.binary_search(&b).ok()?;
+        self.estimate(i, j)
+    }
+
+    /// The full square of answers, built on first use.
+    fn square(&self) -> &[Option<PairEstimate>] {
+        self.square.get_or_init(|| {
+            let n = self.len();
+            let mut entries = vec![None; n * n];
+            for i in 0..n {
+                for j in i + 1..n {
+                    let estimate = self.estimate(i, j);
+                    entries[j * n + i] = estimate.as_ref().map(PairEstimate::transposed);
+                    entries[i * n + j] = estimate;
+                }
+            }
+            entries
+        })
+    }
+
     /// The estimate at row `i`, column `j` of the matrix (`None` on the
-    /// diagonal).
+    /// diagonal), borrowed from the square (built on first use; prefer
+    /// [`estimate`](Self::estimate) for a few pairs).
     ///
     /// # Panics
     ///
@@ -459,25 +806,28 @@ impl OdMatrix {
     #[must_use]
     pub fn at(&self, i: usize, j: usize) -> Option<&PairEstimate> {
         assert!(i < self.len() && j < self.len(), "index out of range");
-        self.entries[i * self.rsus.len() + j].as_ref()
+        self.square()[i * self.len() + j].as_ref()
     }
 
     /// The estimate for an RSU pair by id, `None` if either RSU is not
-    /// covered or `a == b`.
+    /// covered or `a == b` (borrowed from the square, like
+    /// [`at`](Self::at)).
     #[must_use]
     pub fn get(&self, a: RsuId, b: RsuId) -> Option<&PairEstimate> {
         let i = self.rsus.binary_search(&a).ok()?;
         let j = self.rsus.binary_search(&b).ok()?;
-        self.entries[i * self.rsus.len() + j].as_ref()
+        self.at(i, j)
     }
 
     /// Iterates the upper triangle: every unordered pair once, as
-    /// `(origin, destination, estimate)` with `origin < destination`.
+    /// `(origin, destination, estimate)` with `origin < destination`
+    /// (borrowed from the square, like [`at`](Self::at)).
     pub fn iter_pairs(&self) -> impl Iterator<Item = (RsuId, RsuId, &PairEstimate)> {
         let n = self.rsus.len();
+        let square = self.square();
         (0..n).flat_map(move |i| {
             (i + 1..n).filter_map(move |j| {
-                self.entries[i * n + j]
+                square[i * n + j]
                     .as_ref()
                     .map(|e| (self.rsus[i], self.rsus[j], e))
             })
@@ -701,6 +1051,58 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arrays_of_2_pow_32_bits_need_wide_slots() {
+        let sides = vec![
+            RsuSide::Upload {
+                m: 1 << 16,
+                zeros: 1 << 15,
+                counter: 9,
+            },
+            RsuSide::Upload {
+                m: 1 << 32,
+                zeros: (1 << 32) - 3,
+                counter: 2,
+            },
+        ];
+        assert!(OverlapSlots::needs_wide(&sides));
+        assert!(!OverlapSlots::needs_wide(&sides[..1]));
+        let rsus = vec![RsuId(1), RsuId(2)];
+        // A U_c of u32::MAX or more is legal here; 4-byte slots could
+        // not tell it from the sentinel.
+        let u_c: u64 = (1 << 32) - 1;
+        assert_eq!(
+            OdMatrix::from_parts(
+                rsus.clone(),
+                2,
+                sides.clone(),
+                OverlapSlots::Narrow(vec![7])
+            ),
+            Err(SimError::MalformedMessage {
+                reason: "O–D matrix narrow slots for an array of 2^32 bits"
+            })
+        );
+        let matrix = OdMatrix::from_parts(rsus, 2, sides, OverlapSlots::Wide(vec![u_c]))
+            .expect("wide slots hold every U_c");
+        match matrix.estimate(1, 0) {
+            Some(PairEstimate::Measured(e)) => {
+                assert_eq!(e.m_y, 1 << 32);
+                assert_eq!(e.v_c, u_c as f64 / (1u64 << 32) as f64);
+            }
+            other => panic!("expected a measured answer, got {other:?}"),
+        }
+        assert_eq!(matrix.at(1, 0), matrix.estimate(1, 0).as_ref());
+    }
+
+    #[test]
+    fn record_block_keeps_count_and_sum_exact() {
+        let mut tally = DecodeTally::default();
+        tally.record_block(1_003, 10);
+        tally.record_block(5, 0);
+        assert_eq!(tally.ns.count, 10);
+        assert_eq!(tally.ns.sum, 1_003);
+    }
 
     #[test]
     fn triangle_blocks_cover_every_pair_once_in_order() {

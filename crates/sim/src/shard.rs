@@ -40,10 +40,10 @@ use crate::protocol::{
     UploadFrameRef,
 };
 use crate::server::{
-    od_effective_threads, pair_estimate, triangle_blocks, with_thread_scratch, DecodeTally,
-    OrientedPair, RsuDecodeRef, Shard, TriangleBlock, OD_BLOCKS_PER_THREAD,
+    od_effective_threads, pair_answer, triangle_blocks, with_thread_scratch, DecodeTally,
+    OrientedPair, RsuDecodeRef, RsuSide, Shard, Slot, TriangleBlock, OD_BLOCKS_PER_THREAD,
 };
-use crate::{OdMatrix, ReceiveOutcome, SimError};
+use crate::{OdMatrix, OverlapSlots, ReceiveOutcome, SimError};
 
 /// Stable shard assignment: which of `shard_count` shards owns `rsu`.
 ///
@@ -601,7 +601,13 @@ impl ShardedServer {
     /// about that RSU.
     pub fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
         let [a, b] = self.pair(a, b)?;
-        pair_estimate(&self.scheme, &a, &b, || self.pair_counts(&a, &b))
+        let (side_a, side_b) = (a.side(), b.side());
+        let u_c = if side_a.is_upload() && side_b.is_upload() {
+            self.pair_counts(&a, &b).ok().map(|c| c.u_c)
+        } else {
+            None
+        };
+        pair_answer(self.scheme.s(), (a.rsu, side_a), (b.rsu, side_b), u_c)
     }
 
     /// Computes the full origin–destination matrix for every RSU any
@@ -618,6 +624,13 @@ impl ShardedServer {
 
     /// [`od_matrix`](Self::od_matrix) with an explicit worker count.
     ///
+    /// Only `U_c` is decoded per pair: each RSU's [`RsuSide`] is read
+    /// once, and the matrix keeps those plus a `U_c` slot per pair
+    /// ([`OdMatrix`]), answering a pair on demand exactly as
+    /// [`estimate_or_degraded`](Self::estimate_or_degraded) would —
+    /// measured where both uploads are decodable, degraded where
+    /// history must fill in.
+    ///
     /// The pair triangle is cut into about `threads × 8` contiguous
     /// blocks of near-equal pair counts, which fan out through
     /// [`parallel_map_threads`](crate::concurrent::parallel_map_threads)
@@ -629,27 +642,25 @@ impl ShardedServer {
     /// its worker's decode scratch across all its pairs. When the
     /// estimated triangle work is too small to repay a pool dispatch,
     /// the whole triangle runs inline on the caller as one block —
-    /// small matrices can never lose to the 1-thread path. Entries are
-    /// exactly what [`estimate_or_degraded`](Self::estimate_or_degraded)
-    /// returns for the pair — measured where both uploads are decodable,
-    /// degraded where history must fill in. The batch path deliberately
-    /// bypasses the pair memo: it never re-reads a pair, and N²/2 lock
-    /// round-trips would serialize the workers.
+    /// small matrices can never lose to the 1-thread path. The batch
+    /// path deliberately bypasses the pair memo: it never re-reads a
+    /// pair, and N²/2 lock round-trips would serialize the workers.
     ///
     /// Observability touches no shared memory per pair. Each block
-    /// tallies its kernel choices and per-pair decode times (one clock
-    /// read per pair, each pair timed from the previous one's end) in a
-    /// local [`DecodeTally`]; after the join the tallies are folded in
-    /// block order and recorded with one registry update per metric.
-    /// `kernel.*`, `phase.decode.calls` and the `phase.decode.ns` count
-    /// come out exactly as if every decode had been timed and counted
-    /// on its own.
+    /// tallies its kernel choices in a local `DecodeTally` and, with
+    /// observability on, reads the clock twice: its decode time is
+    /// recorded as one per-pair mean sample per decoded pair. After the
+    /// join the tallies are folded in block order and recorded with one
+    /// registry update per metric. `kernel.*`, `phase.decode.calls` and
+    /// the `phase.decode.ns` count come out exactly as if every decode
+    /// had been counted on its own.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::MissingUpload`] if some covered pair has a
-    /// side with neither an upload nor history (cannot happen for RSUs
-    /// discovered from those two sources — defensive only).
+    /// Returns [`SimError::MissingUpload`] (for the first such RSU) if
+    /// the matrix has a pair and some RSU has neither a decodable
+    /// upload nor history — possible only for an undecodable
+    /// (`m < 2`) upload from an RSU with no history.
     ///
     /// # Panics
     ///
@@ -676,6 +687,15 @@ impl ShardedServer {
             .zip(&shard_idx)
             .map(|(&rsu, &s)| self.shards[s].prefetch_decode_ref(rsu))
             .collect();
+        let sides: Vec<RsuSide> = pre.iter().map(RsuDecodeRef::side).collect();
+        if pair_count > 0 {
+            if let Some(k) = sides
+                .iter()
+                .position(|side| matches!(side, RsuSide::History(None)))
+            {
+                return Err(SimError::MissingUpload { rsu: rsus[k] });
+            }
+        }
         if self.obs.is_enabled() {
             self.note_pair_locality(&pre, &shard_idx);
         }
@@ -685,14 +705,32 @@ impl ShardedServer {
         } else {
             1
         };
-        let decoded = crate::concurrent::parallel_map_threads(
-            triangle_blocks(n, blocks),
-            threads,
-            |&block| self.decode_block(&pre, block),
-        );
+        let blocks = triangle_blocks(n, blocks);
+        let slots = if OverlapSlots::needs_wide(&sides) {
+            OverlapSlots::Wide(self.decode_triangle(&pre, blocks, threads, pair_count))
+        } else {
+            OverlapSlots::Narrow(self.decode_triangle(&pre, blocks, threads, pair_count))
+        };
+        Ok(OdMatrix::from_decoded(rsus, self.scheme.s(), sides, slots))
+    }
+
+    /// Fans the triangle's blocks out and joins their slots in triangle
+    /// order, then records the folded [`DecodeTally`].
+    fn decode_triangle<S: Slot>(
+        &self,
+        pre: &[RsuDecodeRef<'_>],
+        blocks: Vec<TriangleBlock>,
+        threads: usize,
+        pair_count: usize,
+    ) -> Vec<S> {
+        let decoded = crate::concurrent::parallel_map_threads(blocks, threads, |&block| {
+            self.decode_block(pre, block)
+        });
         let mut tally = DecodeTally::default();
-        for (_, block_tally) in &decoded {
-            tally.merge(block_tally);
+        let mut slots = Vec::with_capacity(pair_count);
+        for (block_slots, block_tally) in decoded {
+            tally.merge(&block_tally);
+            slots.extend_from_slice(&block_slots);
         }
         for (handle, &count) in self.metrics.kernels.iter().zip(&tally.kernels) {
             if count > 0 {
@@ -700,82 +738,36 @@ impl ShardedServer {
             }
         }
         self.obs.merge_phase(Phase::Decode, &tally.ns);
-        OdMatrix::from_triangle(
-            rsus,
-            decoded.into_iter().flat_map(|(estimates, _)| estimates),
-        )
+        slots
     }
 
     /// Decodes one triangle block for
-    /// [`od_matrix_threads`](Self::od_matrix_threads): its estimates in
+    /// [`od_matrix_threads`](Self::od_matrix_threads): its `U_c` slots in
     /// triangle order, plus the block's [`DecodeTally`].
     ///
-    /// The pair loop is instantiated once per observability mode, so
-    /// each loop carries only the instrumentation its mode records. That
-    /// is for speed: a call left inside the per-pair decode, even one
-    /// that never runs, measured 15–35% slower on cheap pairs.
-    fn decode_block(
+    /// The pair loop is instantiated twice, with and without the
+    /// Debug-level `kernel_select` hook, so the common loop carries no
+    /// call it does not make. That is for speed: a call left inside the
+    /// per-pair decode, even one that never runs, measured 15–35%
+    /// slower on cheap pairs.
+    fn decode_block<S: Slot>(
         &self,
         pre: &[RsuDecodeRef<'_>],
         block: TriangleBlock,
-    ) -> (Vec<Result<PairEstimate, SimError>>, DecodeTally) {
-        if self.obs.enabled_at(Level::Debug) {
-            self.decode_pairs::<true>(pre, block, |pair, kernel| {
+    ) -> (Vec<S>, DecodeTally) {
+        let start = self.obs.is_enabled().then(Instant::now);
+        let (slots, mut tally) = if self.obs.enabled_at(Level::Debug) {
+            decode_pairs(pre, block, |pair, kernel| {
                 pair.kernel_event(&self.obs, kernel);
             })
-        } else if self.obs.is_enabled() {
-            self.decode_pairs::<true>(pre, block, |_, _| {})
         } else {
-            self.decode_pairs::<false>(pre, block, |_, _| {})
+            decode_pairs(pre, block, |_, _| {})
+        };
+        if let Some(start) = start {
+            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            tally.record_block(ns, tally.kernels.iter().sum());
         }
-    }
-
-    /// The pair loop behind [`decode_block`](Self::decode_block). Kernel
-    /// choices are always tallied; with `TIMED`, each decoded pair's
-    /// nanoseconds are tallied too, from one clock read per pair (each
-    /// pair is timed from the end of the previous one). `on_decode` sees
-    /// every decode.
-    fn decode_pairs<const TIMED: bool>(
-        &self,
-        pre: &[RsuDecodeRef<'_>],
-        block: TriangleBlock,
-        mut on_decode: impl FnMut(&OrientedPair<'_>, PairKernel),
-    ) -> (Vec<Result<PairEstimate, SimError>>, DecodeTally) {
-        let n = pre.len();
-        let mut tally = DecodeTally::default();
-        let mut estimates = Vec::with_capacity(block.len);
-        with_thread_scratch(|scratch| {
-            let (mut i, mut j) = (block.i, block.j);
-            let mut last = TIMED.then(Instant::now);
-            for _ in 0..block.len {
-                let (a, b) = (&pre[i], &pre[j]);
-                let mut ran = None;
-                estimates.push(pair_estimate(&self.scheme, a, b, || {
-                    let pair = OrientedPair::new(a, b)?;
-                    let (kernel, counts) = pair.decode(scratch);
-                    on_decode(&pair, kernel);
-                    ran = Some(kernel);
-                    counts
-                }));
-                if let Some(kernel) = ran {
-                    tally.kernels[kernel as usize] += 1;
-                }
-                if let Some(last) = last.as_mut() {
-                    let now = Instant::now();
-                    if ran.is_some() {
-                        let ns = now.duration_since(*last).as_nanos();
-                        tally.ns.record(u64::try_from(ns).unwrap_or(u64::MAX));
-                    }
-                    *last = now;
-                }
-                j += 1;
-                if j == n {
-                    i += 1;
-                    j = i + 1;
-                }
-            }
-        });
-        (estimates, tally)
+        (slots, tally)
     }
 
     /// Counts an O–D matrix's decoded pairs as `shard.local_pair` (both
@@ -826,6 +818,41 @@ impl ShardedServer {
             .clear();
         Ok(sizes)
     }
+}
+
+/// The pair loop behind `ShardedServer::decode_block`: one `U_c` slot
+/// per pair of the block (`S::NONE` where a side is not decodable or
+/// the kernel rejected the sizes), with kernel choices tallied.
+/// `on_decode` sees every decode.
+fn decode_pairs<S: Slot>(
+    pre: &[RsuDecodeRef<'_>],
+    block: TriangleBlock,
+    mut on_decode: impl FnMut(&OrientedPair<'_>, PairKernel),
+) -> (Vec<S>, DecodeTally) {
+    let n = pre.len();
+    let mut tally = DecodeTally::default();
+    let mut slots = Vec::with_capacity(block.len);
+    with_thread_scratch(|scratch| {
+        let (mut i, mut j) = (block.i, block.j);
+        for _ in 0..block.len {
+            let slot = match OrientedPair::new(&pre[i], &pre[j]) {
+                Ok(pair) => {
+                    let (kernel, counts) = pair.decode(scratch);
+                    on_decode(&pair, kernel);
+                    tally.kernels[kernel as usize] += 1;
+                    counts.map_or(S::NONE, |c| S::of(c.u_c))
+                }
+                Err(_) => S::NONE,
+            };
+            slots.push(slot);
+            j += 1;
+            if j == n {
+                i += 1;
+                j = i + 1;
+            }
+        }
+    });
+    (slots, tally)
 }
 
 #[cfg(test)]

@@ -484,6 +484,83 @@ proptest! {
     }
 }
 
+/// Array sizes the O–D answer property draws from: 1 is undecodable;
+/// 3, 6, 12 and 48 do not nest with the powers of two.
+const SIZES: [usize; 10] = [1, 3, 4, 6, 8, 12, 16, 48, 64, 256];
+
+// An O–D matrix keeps per-RSU sides and a U_c triangle and answers on
+// demand; its by-value answers, its square and the wire's rebuild must
+// all equal the memoized single-pair path bit for bit, in both argument
+// orders and at every thread count — across nested and non-nested
+// sizes, saturated arrays, undecodable uploads and history-only RSUs.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn od_matrix_answers_equal_single_pair_answers_bit_for_bit(
+        specs in prop::collection::vec(
+            (
+                0..SIZES.len(), // array size
+                prop::collection::vec(any::<u32>(), 0..64), // reported indices
+                0u8..4, // 0 upload, 1 saturated upload, 2 history only, 3 upload + history
+                1u64..5_000, // period counter / history volume
+            ),
+            1..9,
+        ),
+        seed in any::<u64>(),
+    ) {
+        use vcps_net::wire::{self, estimate_bits, Response};
+        use vcps_sim::ShardedServer;
+
+        let scheme = Scheme::variable(2, 3.0, seed).unwrap();
+        let mut server = ShardedServer::new(scheme, 0.5, 2).unwrap();
+        for (i, (size, ones, kind, counter)) in specs.iter().enumerate() {
+            let rsu = RsuId(i as u64);
+            let len = &SIZES[*size];
+            // An undecodable upload answers from history, so give it one.
+            if *kind >= 2 || *len < 2 {
+                server.seed_history(rsu, *counter as f64 / 3.0);
+            }
+            if *kind == 2 {
+                continue;
+            }
+            let bits = if *kind == 1 {
+                vcps_bitarray::BitArray::from_indices(*len, 0..*len)
+            } else {
+                vcps_bitarray::BitArray::from_indices(
+                    *len,
+                    ones.iter().map(|&v| v as usize % len),
+                )
+            }
+            .unwrap();
+            server.receive(PeriodUpload { rsu, counter: *counter, bits });
+        }
+
+        for threads in [1usize, 2, 4] {
+            let matrix = server.od_matrix_threads(threads).unwrap();
+            prop_assert_eq!(matrix.len(), specs.len());
+            let wire = match Response::decode(&wire::encode_matrix_response(&matrix)).unwrap() {
+                Response::Matrix(m) => m,
+                other => panic!("unexpected {other:?}"),
+            };
+            let rsus = matrix.rsus().to_vec();
+            for (i, &a) in rsus.iter().enumerate() {
+                for (j, &b) in rsus.iter().enumerate() {
+                    if i == j {
+                        prop_assert!(matrix.estimate(i, j).is_none());
+                        prop_assert!(matrix.at(i, j).is_none());
+                        continue;
+                    }
+                    let single = estimate_bits(&server.estimate_or_degraded(a, b).unwrap());
+                    prop_assert_eq!(&estimate_bits(&matrix.estimate(i, j).unwrap()), &single);
+                    prop_assert_eq!(&estimate_bits(matrix.at(i, j).unwrap()), &single);
+                    prop_assert_eq!(&estimate_bits(&wire.at(i, j).unwrap()), &single);
+                }
+            }
+        }
+    }
+}
+
 // The persistent-pool work distribution must be invisible: any routine
 // built on it returns exactly what its sequential form returns, at
 // every thread count, regardless of how the chunk claimer slices the

@@ -211,6 +211,20 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> DurabilityError 
     }
 }
 
+/// Fsyncs a directory so a file created or renamed into it survives a
+/// crash: the file's own fsync makes its bytes durable, not its name.
+fn sync_dir(dir: &Path) -> Result<(), DurabilityError> {
+    // A bare file name has an empty parent: the current directory.
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("fsync dir", dir, &e))
+}
+
 /// An append-only write-ahead log file with group commit.
 ///
 /// Records are `u64 length ‖ u64 fnv1a-64 ‖ payload`, big-endian,
@@ -272,7 +286,8 @@ impl Drop for WalWriter {
 }
 
 impl WalWriter {
-    /// Creates (or truncates) a WAL file and writes the magic prefix.
+    /// Creates (or truncates) a WAL file, writes the magic prefix, and
+    /// fsyncs the parent directory so the log's name survives a crash.
     /// The writer starts under [`FlushPolicy::PerRecord`]; use
     /// [`with_flush_policy`](WalWriter::with_flush_policy) or
     /// [`set_flush_policy`](WalWriter::set_flush_policy) to opt into
@@ -280,8 +295,8 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`DurabilityError::Io`] if the file cannot be created
-    /// or the prefix written.
+    /// Returns [`DurabilityError::Io`] if the file cannot be created,
+    /// the prefix written, or the directory fsynced.
     pub fn create(path: impl Into<PathBuf>) -> Result<Self, DurabilityError> {
         let path = path.into();
         let mut file = OpenOptions::new()
@@ -292,6 +307,7 @@ impl WalWriter {
             .map_err(|e| io_err("create", &path, &e))?;
         file.write_all(&WAL_MAGIC)
             .map_err(|e| io_err("write magic", &path, &e))?;
+        sync_dir(path.parent().unwrap_or(Path::new(".")))?;
         Ok(Self {
             file,
             path,
@@ -579,8 +595,9 @@ pub struct Checkpoint {
 ///
 /// File layout: `magic(8) ‖ seq(8) ‖ payload_len(8) ‖ fnv1a-64(8) ‖
 /// payload`, big-endian. Publication writes to a `.tmp` name, fsyncs,
-/// then renames into place — a crash mid-publish leaves only the temp
-/// file, which the reader ignores.
+/// renames into place, then fsyncs the directory so the new name is
+/// durable too — a crash mid-publish leaves only the temp file, which
+/// the reader ignores.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -616,8 +633,8 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Returns [`DurabilityError::Io`] on any write, fsync, or rename
-    /// failure.
+    /// Returns [`DurabilityError::Io`] on any write, fsync, rename, or
+    /// directory fsync failure.
     pub fn publish(&self, seq: u64, payload: &[u8]) -> Result<PathBuf, DurabilityError> {
         let tmp = self.dir.join(format!("{}.tmp", Self::file_name(seq)));
         let target = self.dir.join(Self::file_name(seq));
@@ -634,6 +651,7 @@ impl CheckpointStore {
             file.sync_data().map_err(|e| io_err("fsync", &tmp, &e))?;
         }
         fs::rename(&tmp, &target).map_err(|e| io_err("rename", &target, &e))?;
+        sync_dir(&self.dir)?;
         Ok(target)
     }
 
@@ -1095,6 +1113,20 @@ mod tests {
         let latest = store.latest_valid().unwrap().unwrap();
         assert_eq!((latest.seq, latest.payload.as_slice()), (5, &b"second"[..]));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sync_dir_handles_a_bare_parent_and_types_a_missing_dir() {
+        // `Path::new("wal.bin").parent()` is the empty path.
+        sync_dir(Path::new("")).unwrap();
+        let missing = temp_dir("sync-dir").join("absent");
+        match sync_dir(&missing) {
+            Err(DurabilityError::Io { op, path, .. }) => {
+                assert_eq!((op, path), ("fsync dir", missing.clone()));
+            }
+            other => panic!("expected a typed I/O error, got {other:?}"),
+        }
+        fs::remove_dir_all(missing.parent().unwrap()).unwrap();
     }
 
     #[test]

@@ -1,14 +1,10 @@
-//! `vcps-load` — loopback load generator and bench harness for `vcpsd`.
+//! `vcps-load` — loopback load generator for `vcpsd`.
 //!
-//! Replays a synthetic city's upload frames against a daemon over one
-//! or more TCP connections, measures uploads/s through the pipelined
-//! ingest path, and (optionally) proves the daemon's answers are
-//! bit-identical to an in-process `ShardedServer` fed the same wire
-//! bytes.
-//!
-//! Two modes:
-//!
-//! * client mode (default): replay against an already-running daemon.
+//! Replays a synthetic city's upload frames against an already-running
+//! daemon over one or more TCP connections, measures uploads/s through
+//! the pipelined ingest path, and (optionally) proves the daemon's
+//! answers are bit-identical to an in-process `ShardedServer` fed the
+//! same wire bytes.
 //!
 //! ```text
 //! cargo run --release -p vcps-net --bin vcps-load --
@@ -26,12 +22,6 @@
 //!                             exit non-zero on any bit drift
 //!   [--shutdown]              send a shutdown frame when done
 //! ```
-//!
-//! * bench mode (`--bench`): spawn an in-process daemon per
-//!   connection count (1/2/4, zero-copy borrowed ingest) and write the
-//!   rows to
-//!   `--out` (default BENCH_net.json). Every row carries its own
-//!   bit-identity verdict; the CI gate refuses a file with any `false`.
 
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -39,7 +29,7 @@ use std::time::Instant;
 use vcps_core::{RsuId, Scheme};
 use vcps_net::wire::estimate_bits;
 use vcps_net::workload::{city_replay_frames, reference_order};
-use vcps_net::{Daemon, DaemonConfig, NetClient, WireMatrix};
+use vcps_net::{NetClient, WireMatrix};
 use vcps_sim::synthetic::SyntheticCity;
 use vcps_sim::{OdMatrix, ShardedServer};
 
@@ -73,8 +63,6 @@ struct Workload {
     scheme: Scheme,
     city: SyntheticCity,
     periods: u64,
-    rsus: usize,
-    vehicles: u64,
 }
 
 impl Workload {
@@ -82,18 +70,14 @@ impl Workload {
         let s: usize = parsed(args, "--s", 2);
         let load_factor: f64 = parsed(args, "--load-factor", 3.0);
         let seed: u64 = parsed(args, "--seed", 41);
-        let rsus: usize = parsed(args, "--rsus", 6);
-        let vehicles: u64 = parsed(args, "--vehicles", 20_000);
         Workload {
             scheme: Scheme::variable(s, load_factor, seed).expect("valid scheme parameters"),
             city: SyntheticCity::generate(
-                &visit_probs(rsus),
-                vehicles,
+                &visit_probs(parsed(args, "--rsus", 6)),
+                parsed(args, "--vehicles", 20_000),
                 parsed(args, "--city-seed", 17),
             ),
             periods: parsed(args, "--periods", 32),
-            rsus,
-            vehicles,
         }
     }
 
@@ -205,25 +189,19 @@ fn check_bit_identical(addr: SocketAddr, reference: &ShardedServer) -> bool {
     true
 }
 
-fn row_json(
-    connections: usize,
-    path: &str,
-    stats: &RunStats,
-    bit_identical: Option<bool>,
-) -> String {
+fn row_json(connections: usize, stats: &RunStats, bit_identical: Option<bool>) -> String {
     let verdict = match bit_identical {
         Some(v) => v.to_string(),
         None => "null".to_string(),
     };
     format!(
         concat!(
-            "{{\"connections\": {}, \"path\": \"{}\", \"uploads\": {}, ",
+            "{{\"connections\": {}, \"uploads\": {}, ",
             "\"wire_bytes\": {}, \"elapsed_ms\": {:.3}, ",
             "\"uploads_per_sec\": {:.1}, \"mib_per_sec\": {:.2}, ",
             "\"bit_identical\": {}}}"
         ),
         connections,
-        path,
         stats.uploads,
         stats.wire_bytes,
         stats.elapsed_s * 1_000.0,
@@ -233,71 +211,21 @@ fn row_json(
     )
 }
 
-fn bench(args: &[String]) {
-    let workload = Workload::from_args(args);
-    let out = arg_value(args, "--out").unwrap_or_else(|| "BENCH_net.json".to_string());
-    let mut rows = Vec::new();
-    for connections in [1usize, 2, 4] {
-        let frames = workload.frames(connections);
-        let reference = workload.reference(&frames);
-        let path = "borrowed";
-        let config = DaemonConfig::new(workload.scheme.clone());
-        let daemon = Daemon::bind("127.0.0.1:0", config).expect("bind bench daemon");
-        let addr = daemon.local_addr();
-        let handle = daemon.spawn();
-
-        let stats = replay(addr, frames);
-        let bit_identical = check_bit_identical(addr, &reference);
-
-        let mut client = NetClient::connect(addr).expect("connect for shutdown");
-        client.shutdown().expect("shutdown bench daemon");
-        handle.join().expect("bench daemon exit");
-
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let Some(addr) = arg_value(&args, "--addr") else {
         eprintln!(
-            "net_loopback_replay connections={connections} path={path} \
-             uploads/s={:.1} MiB/s={:.2} bit_identical={bit_identical}",
-            stats.uploads_per_sec(),
-            stats.mib_per_sec(),
-        );
-        rows.push(row_json(connections, path, &stats, Some(bit_identical)));
-    }
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"net_loopback_replay\",\n",
-            "  \"schema_version\": 1,\n",
-            "  \"scheme\": {{\"s\": {}, \"load_factor\": {}, \"seed\": {}}},\n",
-            "  \"city\": {{\"rsus\": {}, \"vehicles\": {}, \"periods\": {}}},\n",
-            "  \"rows\": [\n    {}\n  ]\n",
-            "}}\n"
-        ),
-        parsed::<usize>(args, "--s", 2),
-        parsed::<f64>(args, "--load-factor", 3.0),
-        parsed::<u64>(args, "--seed", 41),
-        workload.rsus,
-        workload.vehicles,
-        workload.periods,
-        rows.join(",\n    "),
-    );
-    std::fs::write(&out, &json).expect("write bench output");
-    print!("{json}");
-    eprintln!("vcps-load: wrote {out}");
-}
-
-fn client_mode(args: &[String]) {
-    let Some(addr) = arg_value(args, "--addr") else {
-        eprintln!(
-            "vcps-load: --addr HOST:PORT is required (or use --bench); \
+            "vcps-load: --addr HOST:PORT is required; \
              see the usage header in crates/net/src/bin/vcps_load.rs"
         );
         std::process::exit(2);
     };
     let addr: SocketAddr = addr.parse().expect("parse --addr");
-    let connections: usize = parsed(args, "--connections", 1);
-    let workload = Workload::from_args(args);
+    let connections: usize = parsed(&args, "--connections", 1);
+    let workload = Workload::from_args(&args);
     let frames = workload.frames(connections);
 
-    let reference = if arg_flag(args, "--expect-bit-identical") {
+    let reference = if arg_flag(&args, "--expect-bit-identical") {
         Some(workload.reference(&frames))
     } else {
         None
@@ -306,23 +234,14 @@ fn client_mode(args: &[String]) {
     let stats = replay(addr, frames);
     let bit_identical = reference.as_ref().map(|r| check_bit_identical(addr, r));
 
-    if arg_flag(args, "--shutdown") {
+    if arg_flag(&args, "--shutdown") {
         let mut client = NetClient::connect(addr).expect("connect for shutdown");
         client.shutdown().expect("send shutdown frame");
     }
 
-    println!("{}", row_json(connections, "replay", &stats, bit_identical));
+    println!("{}", row_json(connections, &stats, bit_identical));
     if bit_identical == Some(false) {
         eprintln!("vcps-load: daemon answers diverged from the in-process reference");
         std::process::exit(1);
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if arg_flag(&args, "--bench") {
-        bench(&args);
-    } else {
-        client_mode(&args);
     }
 }

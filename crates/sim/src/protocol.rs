@@ -45,8 +45,8 @@ const _: () = assert!(MAX_UPLOAD_BITS == 4_294_967_296);
 
 /// Validates a wire-claimed bit-array length against
 /// [`MAX_UPLOAD_BITS`] (in `u64`, pre-cast) and converts it to `usize`,
-/// rejecting zero-length claims uniformly across the dense/sparse and
-/// owned/borrowed decoders.
+/// rejecting zero-length claims uniformly across the dense and sparse
+/// frames.
 fn upload_len_to_usize(len: u64) -> Result<usize, SimError> {
     if len == 0 || len > MAX_UPLOAD_BITS {
         return Err(SimError::MalformedMessage {
@@ -58,6 +58,17 @@ fn upload_len_to_usize(len: u64) -> Result<usize, SimError> {
     usize::try_from(len).map_err(|_| SimError::MalformedMessage {
         reason: "invalid bit array length in upload",
     })
+}
+
+/// Converts any other wire-claimed count or byte length to `usize` and
+/// bounds it, without a truncating `as` cast: on a 32-bit target a
+/// claim of `2^32 + k` would otherwise become `k` and be accepted where
+/// a 64-bit build rejects it.
+fn wire_usize(raw: u64, bound: usize, reason: &'static str) -> Result<usize, SimError> {
+    usize::try_from(raw)
+        .ok()
+        .filter(|&n| n <= bound)
+        .ok_or(SimError::MalformedMessage { reason })
 }
 
 /// Upper bound on the inner-frame count a decoded [`BatchUpload`] may
@@ -237,100 +248,15 @@ impl PeriodUpload {
         buf.freeze()
     }
 
-    /// Parses an upload from its wire form (dense or sparse frame).
+    /// Parses an upload from its wire form (dense or sparse frame):
+    /// [`PeriodUploadRef::decode_ref`] validates it, then
+    /// [`PeriodUploadRef::to_owned_upload`] copies it out.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::MalformedMessage`] on truncation, a wrong tag
-    /// byte, or an inconsistent word/index count.
+    /// As [`PeriodUploadRef::decode_ref`].
     pub fn decode(wire: &[u8]) -> Result<Self, SimError> {
-        match wire.first() {
-            Some(&TAG_UPLOAD) => Self::decode_dense(wire),
-            Some(&TAG_UPLOAD_SPARSE) => Self::decode_sparse(wire),
-            _ => Err(SimError::MalformedMessage {
-                reason: "bad upload frame",
-            }),
-        }
-    }
-
-    fn decode_dense(mut wire: &[u8]) -> Result<Self, SimError> {
-        if wire.len() < 1 + 8 * 3 || wire[0] != TAG_UPLOAD {
-            return Err(SimError::MalformedMessage {
-                reason: "bad upload frame",
-            });
-        }
-        wire.advance(1);
-        let rsu = RsuId(wire.get_u64());
-        let counter = wire.get_u64();
-        let len = upload_len_to_usize(wire.get_u64())?;
-        let expected_words = len.div_ceil(64);
-        if wire.len() != expected_words * 8 {
-            return Err(SimError::MalformedMessage {
-                reason: "upload word count mismatch",
-            });
-        }
-        let mut words = Vec::with_capacity(expected_words);
-        for _ in 0..expected_words {
-            words.push(wire.get_u64());
-        }
-        let bits = BitArray::from_words(words, len).map_err(|_| SimError::MalformedMessage {
-            reason: "invalid bit array in upload",
-        })?;
-        Ok(Self { rsu, counter, bits })
-    }
-
-    fn decode_sparse(mut wire: &[u8]) -> Result<Self, SimError> {
-        if wire.len() < 1 + 8 * 4 {
-            return Err(SimError::MalformedMessage {
-                reason: "truncated sparse upload",
-            });
-        }
-        wire.advance(1);
-        let rsu = RsuId(wire.get_u64());
-        let counter = wire.get_u64();
-        let raw_len = wire.get_u64();
-        let ones = wire.get_u64() as usize;
-        // Both `len` and `ones` come straight off the wire: compare
-        // against the remaining byte count without multiplying (which
-        // overflows on hostile `ones`), and bound `len` in u64 before
-        // the cast and the backing allocation (a sparse frame never
-        // makes sense for an array shorter than its own index list, and
-        // a 33-byte frame must not be able to request a multi-terabyte
-        // array).
-        if !wire.len().is_multiple_of(8) || ones != wire.len() / 8 {
-            return Err(SimError::MalformedMessage {
-                reason: "sparse upload index count mismatch",
-            });
-        }
-        let len = upload_len_to_usize(raw_len)?;
-        if ones > len {
-            return Err(SimError::MalformedMessage {
-                reason: "invalid bit array length in upload",
-            });
-        }
-        let mut bits = BitArray::try_new(len).map_err(|_| SimError::MalformedMessage {
-            reason: "invalid bit array length in upload",
-        })?;
-        // The index list must be strictly increasing, as encode_compact
-        // emits it: a duplicated or unsorted list means the frame was
-        // corrupted or forged, and sparse decode kernels downstream
-        // derive counts from list lengths — reject rather than silently
-        // collapse duplicates into fewer set bits.
-        let mut prev: Option<u64> = None;
-        for _ in 0..ones {
-            let index = wire.get_u64();
-            if prev.is_some_and(|p| index <= p) {
-                return Err(SimError::MalformedMessage {
-                    reason: "sparse upload indices not strictly increasing",
-                });
-            }
-            prev = Some(index);
-            bits.try_set(index as usize)
-                .map_err(|_| SimError::MalformedMessage {
-                    reason: "sparse upload index out of range",
-                })?;
-        }
-        Ok(Self { rsu, counter, bits })
+        PeriodUploadRef::decode_ref(wire).map(|view| view.to_owned_upload())
     }
 }
 
@@ -365,24 +291,14 @@ impl SequencedUpload {
         buf.freeze()
     }
 
-    /// Parses a sequenced upload from its wire form.
+    /// Parses a sequenced upload from its wire form through
+    /// [`SequencedUploadRef::decode_ref`] plus a copy.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::MalformedMessage`] on truncation, a wrong tag
-    /// byte, or a malformed inner upload.
+    /// As [`SequencedUploadRef::decode_ref`].
     pub fn decode(wire: &[u8]) -> Result<Self, SimError> {
-        if wire.len() < 1 + 8 || wire[0] != TAG_UPLOAD_SEQ {
-            return Err(SimError::MalformedMessage {
-                reason: "bad sequenced upload frame",
-            });
-        }
-        let mut header = &wire[1..9];
-        let seq = header.get_u64();
-        Ok(Self {
-            seq,
-            upload: PeriodUpload::decode(&wire[9..])?,
-        })
+        SequencedUploadRef::decode_ref(wire).map(|view| view.to_owned_upload())
     }
 }
 
@@ -398,7 +314,7 @@ impl SequencedUpload {
 ///
 /// Invariant: inner frames are sorted by `(rsu, seq)` and the keys are
 /// strictly increasing (no duplicates). [`BatchUpload::new`] establishes
-/// it, [`BatchUpload::decode`] enforces it — which is what lets the
+/// it, [`BatchUploadRef::decode_ref`] enforces it — which is what lets the
 /// mutation tests demand that a duplicated or reordered inner frame is
 /// *rejected* rather than silently re-ingested.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -463,69 +379,14 @@ impl BatchUpload {
         buf.freeze()
     }
 
-    /// Parses a batch from its wire form.
+    /// Parses a batch from its wire form through
+    /// [`BatchUploadRef::decode_ref`] plus a copy.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::MalformedMessage`] on truncation, a wrong tag
-    /// byte, a frame count over `MAX_BATCH_FRAMES`, a record length
-    /// exceeding the remaining bytes, a checksum mismatch, a malformed
-    /// inner frame, inner keys out of canonical order, or trailing
-    /// bytes.
-    pub fn decode(mut wire: &[u8]) -> Result<Self, SimError> {
-        if wire.len() < 1 + 8 || wire[0] != TAG_BATCH {
-            return Err(SimError::MalformedMessage {
-                reason: "bad batch frame",
-            });
-        }
-        wire.advance(1);
-        let count = wire.get_u64() as usize;
-        if count > MAX_BATCH_FRAMES {
-            return Err(SimError::MalformedMessage {
-                reason: "batch frame count over limit",
-            });
-        }
-        let mut frames = Vec::with_capacity(count.min(1024));
-        let mut prev: Option<(RsuId, u64)> = None;
-        for _ in 0..count {
-            if wire.len() < 16 {
-                return Err(SimError::MalformedMessage {
-                    reason: "truncated batch record header",
-                });
-            }
-            let frame_len = wire.get_u64() as usize;
-            let checksum = wire.get_u64();
-            // `frame_len` comes straight off the wire: compare against
-            // the remaining byte count (no multiplication, no overflow)
-            // before slicing.
-            if frame_len > wire.len() {
-                return Err(SimError::MalformedMessage {
-                    reason: "batch record length exceeds frame",
-                });
-            }
-            let frame = &wire[..frame_len];
-            if fnv1a_64(frame) != checksum {
-                return Err(SimError::MalformedMessage {
-                    reason: "batch record checksum mismatch",
-                });
-            }
-            let inner = SequencedUpload::decode(frame)?;
-            let key = (inner.upload.rsu, inner.seq);
-            if prev.is_some_and(|p| key <= p) {
-                return Err(SimError::MalformedMessage {
-                    reason: "batch records not strictly increasing",
-                });
-            }
-            prev = Some(key);
-            frames.push(inner);
-            wire.advance(frame_len);
-        }
-        if !wire.is_empty() {
-            return Err(SimError::MalformedMessage {
-                reason: "trailing bytes after batch",
-            });
-        }
-        Ok(Self { frames })
+    /// As [`BatchUploadRef::decode_ref`].
+    pub fn decode(wire: &[u8]) -> Result<Self, SimError> {
+        BatchUploadRef::decode_ref(wire).map(|view| view.to_owned_batch())
     }
 }
 
@@ -548,8 +409,8 @@ fn tail_mask(len: usize) -> u64 {
 enum UploadPayload<'a> {
     /// Big-endian 64-bit words, exactly `bits_len.div_ceil(64)` of
     /// them. Bits beyond `bits_len` in the final word may be set on a
-    /// hostile frame; accessors mask them, mirroring how
-    /// [`BitArray::from_words`] masks the tail on the owned path.
+    /// hostile frame; accessors mask them, as [`BitArray::from_words`]
+    /// does.
     Dense(&'a [u8]),
     /// Big-endian 64-bit set-bit indices, strictly increasing and
     /// in-range (validated at decode).
@@ -559,11 +420,11 @@ enum UploadPayload<'a> {
 /// A [`PeriodUpload`] parsed as a borrowed view over its wire frame —
 /// the zero-copy half of the ingest hot path (DESIGN.md §18).
 ///
-/// [`decode_ref`](PeriodUploadRef::decode_ref) runs the *same*
-/// validation as [`PeriodUpload::decode`] — a frame is accepted by one
-/// iff it is accepted by the other — but allocates nothing: the dense
-/// word block or sparse index list stays a `&[u8]` into the caller's
-/// buffer, exposed through masking accessors. Materialize with
+/// [`decode_ref`](PeriodUploadRef::decode_ref) is the only validator of
+/// the upload frames ([`PeriodUpload::decode`] is it plus a copy) and
+/// allocates nothing: the dense word block or sparse index list stays a
+/// `&[u8]` into the caller's buffer, exposed through masking accessors.
+/// Materialize with
 /// [`to_owned_upload`](PeriodUploadRef::to_owned_upload) only where the
 /// server actually retains the upload (a fresh or conflicting receive);
 /// duplicate detection runs allocation-free via
@@ -577,15 +438,14 @@ pub struct PeriodUploadRef<'a> {
 }
 
 impl<'a> PeriodUploadRef<'a> {
-    /// Parses an upload frame (dense or sparse) into a borrowed view,
-    /// validating exactly what [`PeriodUpload::decode`] validates.
+    /// Parses an upload frame (dense or sparse) into a borrowed view.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::MalformedMessage`] on truncation, a wrong
     /// tag byte, an inconsistent word/index count, a zero or oversized
     /// bit-array length, or a non-strictly-increasing / out-of-range
-    /// sparse index list — the same frames the owned decoder rejects.
+    /// sparse index list.
     pub fn decode_ref(wire: &'a [u8]) -> Result<Self, SimError> {
         match wire.first() {
             Some(&TAG_UPLOAD) => Self::decode_dense_ref(wire),
@@ -604,9 +464,8 @@ impl<'a> PeriodUploadRef<'a> {
         }
         let rsu = RsuId(be_u64(&wire[1..9]));
         let counter = be_u64(&wire[9..17]);
-        // Zero and oversized length claims are rejected by the same
-        // `upload_len_to_usize` guard the owned decoder runs, before
-        // the claim participates in any size arithmetic.
+        // Zero and oversized length claims are rejected before the
+        // claim participates in any size arithmetic.
         let len = upload_len_to_usize(be_u64(&wire[17..25]))?;
         let payload = &wire[25..];
         if payload.len() != len.div_ceil(64) * 8 {
@@ -631,21 +490,30 @@ impl<'a> PeriodUploadRef<'a> {
         let rsu = RsuId(be_u64(&wire[1..9]));
         let counter = be_u64(&wire[9..17]);
         let raw_len = be_u64(&wire[17..25]);
-        let ones = be_u64(&wire[25..33]) as usize;
+        let ones = be_u64(&wire[25..33]);
         let payload = &wire[33..];
-        if !payload.len().is_multiple_of(8) || ones != payload.len() / 8 {
+        // Both `len` and `ones` come straight off the wire: compare them
+        // in `u64` against the remaining byte count without multiplying
+        // (which overflows on hostile `ones`), and bound `len` before
+        // any allocation (a sparse frame never makes sense for an array
+        // shorter than its own index list, and a 33-byte frame must not
+        // be able to request a multi-terabyte array).
+        if !payload.len().is_multiple_of(8) || ones != (payload.len() / 8) as u64 {
             return Err(SimError::MalformedMessage {
                 reason: "sparse upload index count mismatch",
             });
         }
-        // Zero and oversized length claims fall to the same
-        // `upload_len_to_usize` guard the owned decoder runs.
         let len = upload_len_to_usize(raw_len)?;
-        if ones > len {
+        if ones > len as u64 {
             return Err(SimError::MalformedMessage {
                 reason: "invalid bit array length in upload",
             });
         }
+        // The index list must be strictly increasing, as encode_compact
+        // emits it: a duplicated or unsorted list means the frame was
+        // corrupted or forged, and sparse decode kernels downstream
+        // derive counts from list lengths — reject rather than silently
+        // collapse duplicates into fewer set bits.
         let mut prev: Option<u64> = None;
         for chunk in payload.chunks_exact(8) {
             let index = be_u64(chunk);
@@ -655,7 +523,7 @@ impl<'a> PeriodUploadRef<'a> {
                 });
             }
             prev = Some(index);
-            if index as usize >= len {
+            if index >= len as u64 {
                 return Err(SimError::MalformedMessage {
                     reason: "sparse upload index out of range",
                 });
@@ -792,7 +660,8 @@ impl<'a> PeriodUploadRef<'a> {
     }
 }
 
-/// A [`SequencedUpload`] parsed as a borrowed view over its wire frame.
+/// A [`SequencedUpload`] parsed as a borrowed view over its wire frame;
+/// [`SequencedUpload::decode`] is this plus a copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SequencedUploadRef<'a> {
     seq: u64,
@@ -800,8 +669,7 @@ pub struct SequencedUploadRef<'a> {
 }
 
 impl<'a> SequencedUploadRef<'a> {
-    /// Parses a sequenced upload into a borrowed view, validating
-    /// exactly what [`SequencedUpload::decode`] validates.
+    /// Parses a sequenced upload into a borrowed view.
     ///
     /// # Errors
     ///
@@ -843,10 +711,9 @@ impl<'a> SequencedUploadRef<'a> {
 
 /// A [`BatchUpload`] parsed as a borrowed view: one pass of validation
 /// (headers, per-record checksums, inner frames, canonical `(rsu, seq)`
-/// order, no trailing bytes — byte-for-byte what
-/// [`BatchUpload::decode`] enforces) with zero heap allocation, then
+/// order, no trailing bytes) with zero heap allocation, then
 /// [`frames`](BatchUploadRef::frames) iterates the inner views straight
-/// off the wire buffer.
+/// off the wire buffer. [`BatchUpload::decode`] is this plus a copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchUploadRef<'a> {
     /// The record section of the wire frame (everything after the tag
@@ -856,8 +723,7 @@ pub struct BatchUploadRef<'a> {
 }
 
 impl<'a> BatchUploadRef<'a> {
-    /// Parses a batch frame into a borrowed view, validating exactly
-    /// what [`BatchUpload::decode`] validates.
+    /// Parses a batch frame into a borrowed view.
     ///
     /// # Errors
     ///
@@ -872,12 +738,11 @@ impl<'a> BatchUploadRef<'a> {
                 reason: "bad batch frame",
             });
         }
-        let count = be_u64(&wire[1..9]) as usize;
-        if count > MAX_BATCH_FRAMES {
-            return Err(SimError::MalformedMessage {
-                reason: "batch frame count over limit",
-            });
-        }
+        let count = wire_usize(
+            be_u64(&wire[1..9]),
+            MAX_BATCH_FRAMES,
+            "batch frame count over limit",
+        )?;
         let records = &wire[9..];
         let mut rest = records;
         let mut prev: Option<(RsuId, u64)> = None;
@@ -887,17 +752,16 @@ impl<'a> BatchUploadRef<'a> {
                     reason: "truncated batch record header",
                 });
             }
-            let frame_len = be_u64(&rest[..8]) as usize;
             let checksum = be_u64(&rest[8..16]);
             let body = &rest[16..];
             // `frame_len` comes straight off the wire: compare against
             // the remaining byte count (no multiplication, no overflow)
             // before slicing.
-            if frame_len > body.len() {
-                return Err(SimError::MalformedMessage {
-                    reason: "batch record length exceeds frame",
-                });
-            }
+            let frame_len = wire_usize(
+                be_u64(&rest[..8]),
+                body.len(),
+                "batch record length exceeds frame",
+            )?;
             let frame = &body[..frame_len];
             if fnv1a_64(frame) != checksum {
                 return Err(SimError::MalformedMessage {
@@ -970,6 +834,7 @@ impl<'a> Iterator for BatchFrames<'a> {
             return None;
         }
         self.remaining -= 1;
+        // Bounded by the remaining bytes at decode, so the cast is exact.
         let frame_len = be_u64(&self.rest[..8]) as usize;
         let body = &self.rest[16..];
         let frame = &body[..frame_len];
@@ -1134,13 +999,11 @@ impl ServerCheckpoint {
             if wire.len() < 8 {
                 return Err(SimError::MalformedMessage { reason });
             }
-            let count = wire.get_u64() as usize;
-            if count > MAX_BATCH_FRAMES {
-                return Err(SimError::MalformedMessage {
-                    reason: "checkpoint section count over limit",
-                });
-            }
-            Ok(count)
+            wire_usize(
+                wire.get_u64(),
+                MAX_BATCH_FRAMES,
+                "checkpoint section count over limit",
+            )
         };
         let history_count = read_count(&mut wire, "truncated checkpoint history")?;
         let mut history = Vec::with_capacity(history_count.min(1024));
@@ -1194,14 +1057,14 @@ impl ServerCheckpoint {
                     reason: "truncated checkpoint uploads",
                 });
             }
-            let frame_len = wire.get_u64() as usize;
             // Straight off the wire: compare against the remaining byte
             // count (no multiplication, no overflow) before slicing.
-            if frame_len > wire.len() {
-                return Err(SimError::MalformedMessage {
-                    reason: "checkpoint upload length exceeds frame",
-                });
-            }
+            let raw_len = wire.get_u64();
+            let frame_len = wire_usize(
+                raw_len,
+                wire.len(),
+                "checkpoint upload length exceeds frame",
+            )?;
             let upload = PeriodUpload::decode(&wire[..frame_len])?;
             if prev.is_some_and(|p| upload.rsu <= p) {
                 return Err(SimError::MalformedMessage {
@@ -1276,12 +1139,13 @@ impl CheckpointSet {
         }
         wire.advance(1);
         let frames_applied = wire.get_u64();
-        let count = wire.get_u64() as usize;
-        if count == 0 || count > MAX_CHECKPOINT_SHARDS {
+        let count = wire.get_u64();
+        if count == 0 || count > MAX_CHECKPOINT_SHARDS as u64 {
             return Err(SimError::MalformedMessage {
                 reason: "invalid checkpoint set shard count",
             });
         }
+        let count = count as usize;
         let mut shards = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
             if wire.len() < 8 {
@@ -1289,12 +1153,12 @@ impl CheckpointSet {
                     reason: "truncated checkpoint set record",
                 });
             }
-            let frame_len = wire.get_u64() as usize;
-            if frame_len > wire.len() {
-                return Err(SimError::MalformedMessage {
-                    reason: "checkpoint set record length exceeds frame",
-                });
-            }
+            let raw_len = wire.get_u64();
+            let frame_len = wire_usize(
+                raw_len,
+                wire.len(),
+                "checkpoint set record length exceeds frame",
+            )?;
             shards.push(ServerCheckpoint::decode(&wire[..frame_len])?);
             wire.advance(frame_len);
         }
@@ -1497,61 +1361,124 @@ mod tests {
         assert!(PeriodUpload::decode(&wire.freeze()).is_err());
     }
 
-    /// The length bound is compared in `u64` *before* any cast: a claim
-    /// just past 2^32 — which truncates to a small, plausible value on
-    /// a 32-bit `usize` — must be rejected on every target, by all four
-    /// decoder variants. (Under the old `usize`-typed bound, a 32-bit
-    /// build computed `1 << 32 == 0` and rejected every frame instead.)
-    #[test]
-    fn upload_length_bound_is_checked_pre_cast() {
-        let dense = |claim: u64| {
-            let mut wire = BytesMut::new();
-            wire.put_u8(TAG_UPLOAD);
-            wire.put_u64(1); // rsu
-            wire.put_u64(1); // counter
-            wire.put_u64(claim);
-            wire.put_u64(0); // one payload word, as a truncated claim implies
-            wire.freeze()
-        };
-        let sparse = |claim: u64| {
-            let mut wire = BytesMut::new();
-            wire.put_u8(TAG_UPLOAD_SPARSE);
-            wire.put_u64(1); // rsu
-            wire.put_u64(1); // counter
-            wire.put_u64(claim);
-            wire.put_u64(1); // one index
-            wire.put_u64(3);
-            wire.freeze()
-        };
-        // (1 << 32) + 64 as a 32-bit usize would be 64 — consistent
-        // with both assembled payloads. The u64 comparison rejects it.
-        for claim in [MAX_UPLOAD_BITS + 64, 1 << 40, u64::MAX] {
-            for wire in [dense(claim), sparse(claim)] {
-                assert!(
-                    matches!(
-                        PeriodUpload::decode(&wire),
-                        Err(SimError::MalformedMessage {
-                            reason: "invalid bit array length in upload"
-                        })
-                    ),
-                    "owned, claim {claim}"
-                );
-                assert!(
-                    matches!(
-                        PeriodUploadRef::decode_ref(&wire),
-                        Err(SimError::MalformedMessage {
-                            reason: "invalid bit array length in upload"
-                        })
-                    ),
-                    "borrowed, claim {claim}"
-                );
-            }
+    /// Asserts that `verdict` is a rejection with exactly `reason`.
+    fn assert_rejects<T: std::fmt::Debug>(label: &str, verdict: Result<T, SimError>, reason: &str) {
+        match verdict {
+            Err(SimError::MalformedMessage { reason: got }) => assert_eq!(got, reason, "{label}"),
+            other => panic!("{label}: expected {reason:?}, got {other:?}"),
         }
     }
 
+    /// Every wire-claimed length and count is compared in `u64`
+    /// *before* any cast: a claim of `2^32 + k` — which truncates to
+    /// the plausible `k` on a 32-bit `usize` — must be rejected on
+    /// every target with the field's typed reason. Each table row lifts
+    /// one field of an otherwise valid frame by 2^32, so a truncating
+    /// cast would turn it back into an accepted frame.
+    #[test]
+    fn upload_length_bound_is_checked_pre_cast() {
+        const OVER: u64 = 1 << 32;
+        let raw = |tag: u8, fields: &[u64]| {
+            let mut wire = vec![tag];
+            for &f in fields {
+                wire.extend(f.to_be_bytes());
+            }
+            wire
+        };
+        let lift = |wire: &[u8], at: usize| {
+            let mut wire = wire.to_vec();
+            let lifted = be_u64(&wire[at..at + 8]) + OVER;
+            wire[at..at + 8].copy_from_slice(&lifted.to_be_bytes());
+            wire
+        };
+
+        // Bit length: (1 << 32) + 64 as a 32-bit usize would be 64 —
+        // consistent with both assembled payloads (rsu, counter, claim,
+        // then one dense word or one sparse index).
+        let length = "invalid bit array length in upload";
+        for claim in [MAX_UPLOAD_BITS + 64, 1 << 40, u64::MAX] {
+            for wire in [
+                raw(TAG_UPLOAD, &[1, 1, claim, 0]),
+                raw(TAG_UPLOAD_SPARSE, &[1, 1, claim, 1, 3]),
+            ] {
+                assert_rejects(
+                    &format!("bit length {claim}"),
+                    PeriodUploadRef::decode_ref(&wire),
+                    length,
+                );
+            }
+        }
+        // Sparse index count and index value.
+        let sparse = raw(TAG_UPLOAD_SPARSE, &[1, 1, 64, 1, 3]);
+        assert!(PeriodUploadRef::decode_ref(&sparse).is_ok());
+        assert_rejects(
+            "sparse ones",
+            PeriodUploadRef::decode_ref(&lift(&sparse, 25)),
+            "sparse upload index count mismatch",
+        );
+        assert_rejects(
+            "sparse index",
+            PeriodUploadRef::decode_ref(&lift(&sparse, 33)),
+            "sparse upload index out of range",
+        );
+
+        // Batch frame count and record length.
+        let batch = BatchUpload::new(vec![sequenced(1, 0, &[5])])
+            .unwrap()
+            .encode();
+        assert!(BatchUploadRef::decode_ref(&batch).is_ok());
+        assert_rejects(
+            "batch count",
+            BatchUploadRef::decode_ref(&lift(&batch, 1)),
+            "batch frame count over limit",
+        );
+        assert_rejects(
+            "batch frame_len",
+            BatchUploadRef::decode_ref(&lift(&batch, 9)),
+            "batch record length exceeds frame",
+        );
+
+        // Checkpoint section counts and upload record length.
+        let c = checkpoint();
+        let wire = c.encode();
+        let history_at = 9;
+        let seqs_at = history_at + 8 + 16 * c.history.len();
+        let uploads_at = seqs_at + 8 + 16 * c.seqs.len();
+        for at in [history_at, seqs_at, uploads_at] {
+            assert_rejects(
+                &format!("checkpoint count at {at}"),
+                ServerCheckpoint::decode(&lift(&wire, at)),
+                "checkpoint section count over limit",
+            );
+        }
+        assert_rejects(
+            "checkpoint frame_len",
+            ServerCheckpoint::decode(&lift(&wire, uploads_at + 8)),
+            "checkpoint upload length exceeds frame",
+        );
+
+        // Checkpoint-set shard count and record length.
+        let set = CheckpointSet {
+            frames_applied: 3,
+            shards: vec![c],
+        }
+        .encode();
+        assert!(CheckpointSet::decode(&set).is_ok());
+        assert_rejects(
+            "checkpoint set count",
+            CheckpointSet::decode(&lift(&set, 9)),
+            "invalid checkpoint set shard count",
+        );
+        assert_rejects(
+            "checkpoint set frame_len",
+            CheckpointSet::decode(&lift(&set, 17)),
+            "checkpoint set record length exceeds frame",
+        );
+    }
+
     /// Zero-length claims are rejected with the *same* typed reason by
-    /// dense/sparse × owned/borrowed — the unified `upload_len_to_usize`
-    /// guard, rather than four divergent downstream failures.
+    /// the dense and sparse frames — the unified `upload_len_to_usize`
+    /// guard, rather than divergent downstream failures.
     #[test]
     fn zero_length_rejection_is_unified_across_decoders() {
         for tag in [TAG_UPLOAD, TAG_UPLOAD_SPARSE] {
@@ -1563,21 +1490,11 @@ mod tests {
             if tag == TAG_UPLOAD_SPARSE {
                 wire.put_u64(0); // zero indices
             }
-            let wire = wire.freeze();
-            for verdict in [
-                PeriodUpload::decode(&wire).map(|_| ()),
-                PeriodUploadRef::decode_ref(&wire).map(|_| ()),
-            ] {
-                assert!(
-                    matches!(
-                        verdict,
-                        Err(SimError::MalformedMessage {
-                            reason: "invalid bit array length in upload"
-                        })
-                    ),
-                    "tag {tag}: {verdict:?}"
-                );
-            }
+            assert_rejects(
+                &format!("tag {tag}"),
+                PeriodUploadRef::decode_ref(&wire.freeze()),
+                "invalid bit array length in upload",
+            );
         }
     }
 
@@ -1713,53 +1630,10 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn borrowed_views_agree_with_owned_decode_on_valid_frames() {
-        let mut bits = BitArray::new(1024);
-        for i in [0usize, 63, 64, 999] {
-            bits.set(i);
-        }
-        let upload = PeriodUpload {
-            rsu: RsuId(5),
-            counter: 77,
-            bits,
-        };
-        for wire in [upload.encode(), upload.encode_compact()] {
-            let view = PeriodUploadRef::decode_ref(&wire).unwrap();
-            assert_eq!(view.rsu(), upload.rsu);
-            assert_eq!(view.counter(), upload.counter);
-            assert_eq!(view.bits_len(), upload.bits.len());
-            assert_eq!(view.count_ones(), upload.bits.count_ones());
-            assert!(view.matches(&upload));
-            assert_eq!(view.to_owned_upload(), upload);
-        }
-        let dense_wire = upload.encode();
-        let dense = PeriodUploadRef::decode_ref(&dense_wire).unwrap();
-        assert!(!dense.is_sparse());
-        let words: Vec<u64> = dense.dense_words().unwrap().collect();
-        assert_eq!(words, upload.bits.as_words());
-        assert!(dense.sparse_indices().is_none());
-        let sparse_wire = upload.encode_compact();
-        let sparse = PeriodUploadRef::decode_ref(&sparse_wire).unwrap();
-        assert!(sparse.is_sparse());
-        let indices: Vec<u64> = sparse.sparse_indices().unwrap().collect();
-        assert_eq!(indices, vec![0, 63, 64, 999]);
-        assert!(sparse.dense_words().is_none());
-
-        // A differing counter, rsu, or payload must not match.
-        let mut other = upload.clone();
-        other.counter += 1;
-        assert!(!dense.matches(&other));
-        let mut other = upload.clone();
-        other.bits.set(1);
-        assert!(!dense.matches(&other));
-        assert!(!sparse.matches(&other));
-    }
-
     /// A hostile dense frame with garbage bits beyond `len` in its
-    /// final word is *accepted* by the owned decoder (which masks the
-    /// tail inside `BitArray::from_words`); the borrowed view must
-    /// agree — accept, and mask in every accessor.
+    /// final word is *accepted*; the owned copy (which masks the tail
+    /// inside `BitArray::from_words`) and every accessor of the view
+    /// must mask it alike.
     #[test]
     fn borrowed_dense_masks_hostile_tail_bits_like_owned() {
         let mut bits = BitArray::new(100);
@@ -1785,83 +1659,6 @@ mod tests {
         );
         assert!(view.matches(&owned));
         assert_eq!(view.to_owned_upload(), owned);
-    }
-
-    /// Owned and borrowed decoders accept and reject exactly the same
-    /// frames across the module's rejection taxonomy.
-    #[test]
-    fn borrowed_views_reject_whatever_owned_rejects() {
-        let good = sequenced(3, 9, &[1, 7, 250]);
-        let upload_wires = [good.upload.encode(), good.upload.encode_compact()];
-        for wire in &upload_wires {
-            for cut in 0..wire.len() {
-                assert_eq!(
-                    PeriodUpload::decode(&wire[..cut]).is_ok(),
-                    PeriodUploadRef::decode_ref(&wire[..cut]).is_ok(),
-                    "truncation at {cut}"
-                );
-            }
-            let mut bad = wire.to_vec();
-            bad[0] = TAG_BATCH;
-            assert!(PeriodUploadRef::decode_ref(&bad).is_err());
-        }
-        // Zero-length arrays: rejected by both, dense and sparse.
-        for tag in [TAG_UPLOAD, TAG_UPLOAD_SPARSE] {
-            let mut wire = BytesMut::new();
-            wire.put_u8(tag);
-            wire.put_u64(1); // rsu
-            wire.put_u64(1); // counter
-            wire.put_u64(0); // zero bit length
-            if tag == TAG_UPLOAD_SPARSE {
-                wire.put_u64(0); // zero indices
-            }
-            let wire = wire.freeze();
-            assert!(PeriodUpload::decode(&wire).is_err());
-            assert!(PeriodUploadRef::decode_ref(&wire).is_err());
-        }
-        // Duplicated and out-of-range sparse indices.
-        let assemble_sparse = |indices: &[u64]| {
-            let mut wire = BytesMut::new();
-            wire.put_u8(TAG_UPLOAD_SPARSE);
-            wire.put_u64(1);
-            wire.put_u64(1);
-            wire.put_u64(64);
-            wire.put_u64(indices.len() as u64);
-            for &i in indices {
-                wire.put_u64(i);
-            }
-            wire.freeze()
-        };
-        for indices in [&[5u64, 5][..], &[9, 3], &[64], &[2, 70]] {
-            let wire = assemble_sparse(indices);
-            assert!(PeriodUpload::decode(&wire).is_err(), "{indices:?}");
-            assert!(PeriodUploadRef::decode_ref(&wire).is_err(), "{indices:?}");
-        }
-        assert!(PeriodUploadRef::decode_ref(&assemble_sparse(&[3, 8, 63])).is_ok());
-
-        // Batch taxonomy: truncation, checksum flip, duplicate record.
-        let batch = BatchUpload::new(vec![sequenced(1, 0, &[5]), good.clone()]).unwrap();
-        let wire = batch.encode();
-        assert!(BatchUploadRef::decode_ref(&wire).is_ok());
-        for cut in 0..wire.len() {
-            assert_eq!(
-                BatchUpload::decode(&wire[..cut]).is_ok(),
-                BatchUploadRef::decode_ref(&wire[..cut]).is_ok(),
-                "batch truncation at {cut}"
-            );
-        }
-        for byte in 0..wire.len() {
-            let mut bad = wire.to_vec();
-            bad[byte] ^= 0x10;
-            assert_eq!(
-                BatchUpload::decode(&bad).is_ok(),
-                BatchUploadRef::decode_ref(&bad).is_ok(),
-                "batch bit flip at byte {byte}"
-            );
-        }
-        let mut trailing = wire.to_vec();
-        trailing.push(0);
-        assert!(BatchUploadRef::decode_ref(&trailing).is_err());
     }
 
     #[test]

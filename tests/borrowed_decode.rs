@@ -1,15 +1,16 @@
-//! Differential conformance for the zero-copy borrowed wire views
-//! (DESIGN.md §18).
+//! Conformance for the zero-copy borrowed wire views (DESIGN.md §18).
 //!
-//! The contract is *accept parity*: a wire image is accepted by a
-//! borrowed decoder exactly when the owned decoder of the same frame
-//! type accepts it, and whenever both accept, every borrowed accessor
-//! agrees with the owned decode field for field. The suite checks this
-//! on every golden vector under `tests/data/`, on every prefix
-//! truncation of those vectors, on a single-bit-flip sweep, and under
-//! randomized mutation (truncation, byte corruption, batch frame
-//! reordering and duplication) — and the borrowed decoders must never
-//! panic on any input, hostile or not.
+//! `decode_ref` is the only validator of the upload frames; the owned
+//! decoders are it plus `to_owned_*`, so accept parity holds by
+//! construction. What can still split is the view's allocation-free
+//! accessors (`count_ones`, `dense_words`, `sparse_indices`, `matches`,
+//! `frames`) against the owned copy: every accepted frame must agree
+//! with its copy field for field, and every rejection must be a typed
+//! `MalformedMessage`, never a panic. The suite checks this on every
+//! golden vector under `tests/data/`, on every prefix truncation of
+//! those vectors, on a single-bit-flip sweep, and under randomized
+//! mutation (truncation, byte corruption, batch frame reordering and
+//! duplication).
 
 use proptest::prelude::*;
 
@@ -17,6 +18,7 @@ use vcps::durable::fnv1a_64;
 use vcps::sim::protocol::{
     BatchUpload, BatchUploadRef, PeriodUpload, PeriodUploadRef, SequencedUpload, SequencedUploadRef,
 };
+use vcps::sim::SimError;
 use vcps::{BitArray, RsuId};
 
 fn data(name: &str) -> Vec<u8> {
@@ -37,68 +39,57 @@ const GOLDEN: [&str; 8] = [
     "ckpt_set.bin",
 ];
 
-/// Owned/borrowed parity for one wire image against all three hot
-/// frame decoders. Rejection is fine — it must just be symmetric.
-fn check_parity(wire: &[u8]) {
-    check_period_parity(wire);
-    check_sequenced_parity(wire);
-    check_batch_parity(wire);
-}
-
-fn check_period_parity(wire: &[u8]) {
-    let owned = PeriodUpload::decode(wire);
-    let view = PeriodUploadRef::decode_ref(wire);
-    assert_eq!(
-        owned.is_ok(),
-        view.is_ok(),
-        "period accept parity on {} bytes (owned: {owned:?})",
-        wire.len()
-    );
-    if let (Ok(owned), Ok(view)) = (owned, view) {
-        assert_eq!(view.rsu(), owned.rsu);
-        assert_eq!(view.counter(), owned.counter);
-        assert_eq!(view.bits_len(), owned.bits.len());
-        assert_eq!(view.count_ones(), owned.bits.count_ones());
-        assert!(
-            view.matches(&owned),
-            "accepted view must match its owned twin"
-        );
-        assert_eq!(view.to_owned_upload(), owned);
+/// Runs one wire image through all three hot frame validators: an
+/// accepted view must agree with its owned copy, a rejection must be
+/// typed.
+fn check_views(wire: &[u8]) {
+    if let Some(view) = accepted(PeriodUploadRef::decode_ref(wire)) {
+        check_upload_view(&view);
     }
-}
-
-fn check_sequenced_parity(wire: &[u8]) {
-    let owned = SequencedUpload::decode(wire);
-    let view = SequencedUploadRef::decode_ref(wire);
-    assert_eq!(
-        owned.is_ok(),
-        view.is_ok(),
-        "sequenced accept parity on {} bytes",
-        wire.len()
-    );
-    if let (Ok(owned), Ok(view)) = (owned, view) {
+    if let Some(view) = accepted(SequencedUploadRef::decode_ref(wire)) {
+        let owned = view.to_owned_upload();
         assert_eq!(view.seq(), owned.seq);
-        assert!(view.upload().matches(&owned.upload));
-        assert_eq!(view.to_owned_upload(), owned);
+        check_upload_view(&view.upload());
     }
-}
-
-fn check_batch_parity(wire: &[u8]) {
-    let owned = BatchUpload::decode(wire);
-    let view = BatchUploadRef::decode_ref(wire);
-    assert_eq!(
-        owned.is_ok(),
-        view.is_ok(),
-        "batch accept parity on {} bytes",
-        wire.len()
-    );
-    if let (Ok(owned), Ok(view)) = (owned, view) {
+    if let Some(view) = accepted(BatchUploadRef::decode_ref(wire)) {
+        let owned = view.to_owned_batch();
         assert_eq!(view.len(), owned.frames().len());
         for (frame_view, frame) in view.frames().zip(owned.frames()) {
             assert_eq!(frame_view.seq(), frame.seq);
             assert!(frame_view.upload().matches(&frame.upload));
+            assert_eq!(frame_view.to_owned_upload(), *frame);
         }
-        assert_eq!(view.to_owned_batch(), owned);
+    }
+}
+
+/// `Some(view)` on acceptance; on rejection, asserts the error is the
+/// typed malformed-frame error.
+fn accepted<T>(verdict: Result<T, SimError>) -> Option<T> {
+    match verdict {
+        Ok(view) => Some(view),
+        Err(SimError::MalformedMessage { .. }) => None,
+        Err(other) => panic!("untyped rejection: {other:?}"),
+    }
+}
+
+/// Every allocation-free accessor of an accepted upload view against
+/// the owned copy it materializes.
+fn check_upload_view(view: &PeriodUploadRef<'_>) {
+    let owned = view.to_owned_upload();
+    assert_eq!(view.rsu(), owned.rsu);
+    assert_eq!(view.counter(), owned.counter);
+    assert_eq!(view.bits_len(), owned.bits.len());
+    assert_eq!(view.count_ones(), owned.bits.count_ones());
+    assert!(view.matches(&owned), "accepted view must match its copy");
+    if view.is_sparse() {
+        assert!(view.dense_words().is_none());
+        let indices: Vec<u64> = view.sparse_indices().expect("sparse").collect();
+        let ones: Vec<u64> = owned.bits.ones().map(|i| i as u64).collect();
+        assert_eq!(indices, ones);
+    } else {
+        assert!(view.sparse_indices().is_none());
+        let words: Vec<u64> = view.dense_words().expect("dense").collect();
+        assert_eq!(words, owned.bits.as_words());
     }
 }
 
@@ -122,33 +113,58 @@ fn raw_batch_wire(frames: &[SequencedUpload]) -> Vec<u8> {
 #[test]
 fn golden_vectors_decode_identically_borrowed_and_owned() {
     for name in GOLDEN {
-        check_parity(&data(name));
+        check_views(&data(name));
     }
     // The hot vectors must actually be accepted — an all-reject suite
-    // would satisfy parity vacuously.
-    assert!(PeriodUploadRef::decode_ref(&data("upload_dense.bin")).is_ok());
-    assert!(PeriodUploadRef::decode_ref(&data("upload_sparse.bin")).is_ok());
+    // would pass vacuously.
+    let dense_wire = data("upload_dense.bin");
+    let sparse_wire = data("upload_sparse.bin");
+    let dense = PeriodUploadRef::decode_ref(&dense_wire).expect("dense golden vector");
+    let sparse = PeriodUploadRef::decode_ref(&sparse_wire).expect("sparse golden vector");
+    assert!(!dense.is_sparse() && sparse.is_sparse());
     assert!(SequencedUploadRef::decode_ref(&data("sequenced.bin")).is_ok());
     assert!(BatchUploadRef::decode_ref(&data("batch.bin")).is_ok());
+
+    // `matches` must also say no: a differing counter or one extra set
+    // bit breaks the match on both encodings.
+    for view in [dense, sparse] {
+        let mut other = view.to_owned_upload();
+        other.counter += 1;
+        assert!(!view.matches(&other));
+        let mut other = view.to_owned_upload();
+        let unset = (0..other.bits.len())
+            .find(|&i| !other.bits.get(i))
+            .expect("golden arrays are not full");
+        other.bits.set(unset);
+        assert!(!view.matches(&other));
+    }
 }
 
 /// Every prefix of every golden vector: truncation anywhere — inside
-/// the header, a length field, a checksum, or a payload — must reject
-/// on both sides or accept on both sides (only the full image accepts).
+/// the header, a length field, a checksum, or a payload — must be a
+/// typed rejection by every hot validator (only the full image
+/// accepts).
 #[test]
 fn golden_vector_truncations_never_split_the_decoders() {
     for name in GOLDEN {
         let wire = data(name);
         for cut in 0..wire.len() {
-            check_parity(&wire[..cut]);
+            let prefix = &wire[..cut];
+            check_views(prefix);
+            assert!(
+                accepted(PeriodUploadRef::decode_ref(prefix)).is_none()
+                    && accepted(SequencedUploadRef::decode_ref(prefix)).is_none()
+                    && accepted(BatchUploadRef::decode_ref(prefix)).is_none(),
+                "{name}: prefix of {cut} bytes accepted"
+            );
         }
     }
 }
 
 /// Exhaustive single-bit-flip sweep over the hot golden vectors: a
-/// flipped tag, length, checksum, index, or payload byte must leave
-/// the owned and borrowed decoders in agreement (both reject, or both
-/// accept the now-different-but-valid frame with equal fields).
+/// flipped tag, length, checksum, index, or payload byte must be a
+/// typed rejection, or an accepted now-different-but-valid frame whose
+/// view agrees with its owned copy.
 #[test]
 fn golden_vector_bit_flips_never_split_the_decoders() {
     for name in [
@@ -162,7 +178,7 @@ fn golden_vector_bit_flips_never_split_the_decoders() {
             for bit in 0..8 {
                 let mut flipped = wire.clone();
                 flipped[i] ^= 1 << bit;
-                check_parity(&flipped);
+                check_views(&flipped);
             }
         }
     }
@@ -202,20 +218,20 @@ proptest! {
             upload.encode()
         };
         let cut = (period_wire.len() as f64 * cut_frac) as usize;
-        check_parity(&period_wire[..cut]);
-        check_parity(&period_wire);
+        check_views(&period_wire[..cut]);
+        check_views(&period_wire);
 
         let sequenced = SequencedUpload { seq, upload };
         let seq_wire = sequenced.encode();
         let cut = (seq_wire.len() as f64 * cut_frac) as usize;
-        check_parity(&seq_wire[..cut]);
-        check_parity(&seq_wire);
+        check_views(&seq_wire[..cut]);
+        check_views(&seq_wire);
 
         let batch = BatchUpload::new(vec![sequenced]).expect("single frame");
         let batch_wire = batch.encode();
         let cut = (batch_wire.len() as f64 * cut_frac) as usize;
-        check_parity(&batch_wire[..cut]);
-        check_parity(&batch_wire);
+        check_views(&batch_wire[..cut]);
+        check_views(&batch_wire);
     }
 
     #[test]
@@ -233,14 +249,14 @@ proptest! {
         };
         let i = byte % period_wire.len();
         period_wire[i] ^= mask;
-        check_parity(&period_wire);
+        check_views(&period_wire);
 
         let batch = BatchUpload::new(vec![SequencedUpload { seq, upload }])
             .expect("single frame");
         let mut batch_wire = batch.encode().to_vec();
         let i = byte % batch_wire.len();
         batch_wire[i] ^= mask;
-        check_parity(&batch_wire);
+        check_views(&batch_wire);
     }
 
     #[test]
@@ -263,17 +279,25 @@ proptest! {
             _ => vec![fb.clone(), fb.clone()],
         };
         let wire = raw_batch_wire(&frames);
-        check_parity(&wire);
-
-        // The canonically sorted two-frame batch must be accepted by
-        // both decoders whenever its keys are distinct.
+        check_views(&wire);
         let key = |f: &SequencedUpload| (f.upload.rsu, f.seq);
+        if key(&frames[0]) >= key(&frames[1]) {
+            prop_assert!(matches!(
+                BatchUploadRef::decode_ref(&wire),
+                Err(SimError::MalformedMessage {
+                    reason: "batch records not strictly increasing"
+                })
+            ));
+        }
+
+        // The canonically sorted two-frame batch must be accepted
+        // whenever its keys are distinct.
         if key(&fa) != key(&fb) {
             let mut sorted = vec![fa, fb];
             sorted.sort_by_key(key);
             let wire = raw_batch_wire(&sorted);
             prop_assert!(BatchUpload::decode(&wire).is_ok());
-            check_parity(&wire);
+            check_views(&wire);
         }
     }
 }

@@ -720,13 +720,14 @@ fn bench_shard(samples: usize) -> String {
 /// Write-ahead-logged vs plain ingestion (DESIGN.md §17/§18). Every
 /// mode drives the same sequential `receive_wire` loop over pre-encoded
 /// upload frames into a 4-shard server, so the only variable is the
-/// durability work: nothing, append+fsync per record, per-record fsync
-/// plus a checkpoint every 64 records, or group commit (append
-/// buffered, one fsync every N records plus a final `flush_wal` inside
-/// the timed region so every mode ends equally durable). Modes are
-/// sampled round-robin with per-mode minima so filesystem slow
-/// windows (journal flushes, dirty-page writeback) hit every row
-/// equally instead of whichever mode ran during them.
+/// durability work: nothing, append+fsync per record, or group commit
+/// (append buffered, one fsync every N records plus a final `flush_wal`
+/// inside the timed region so every mode ends equally durable). The
+/// rows explain `bench_e2e`'s `durable.append_ns` and `durable.flush_ns`
+/// per-layer metrics. Modes are sampled round-robin with per-mode
+/// minima so filesystem slow windows (journal flushes, dirty-page
+/// writeback) hit every row equally instead of whichever mode ran
+/// during them.
 ///
 /// The workload is deliberately shaped so fsync *latency* — the cost
 /// group commit amortizes — dominates the durability tax, not log
@@ -745,8 +746,7 @@ fn bench_wal(samples: usize) -> String {
     const WAL_BITS: usize = 1 << 20;
     const WAL_FILL: f64 = 0.00025;
     const WAL_SHARDS: usize = 4;
-    const CHECKPOINT_EVERY: u64 = 64;
-    const GROUP_COMMIT: [u64; 4] = [1, 16, 64, 256];
+    const GROUP_COMMIT: [u64; 3] = [16, 64, 256];
     let scheme = Scheme::variable(2, 3.0, 1).expect("valid scheme");
     let obs = vcps_obs::Obs::disabled();
     let dir = std::env::temp_dir().join(format!("vcps-bench-wal-{}", std::process::id()));
@@ -758,13 +758,8 @@ fn bench_wal(samples: usize) -> String {
         .map(|frame| frame.encode().to_vec())
         .collect();
 
-    let mut durable_modes: Vec<(String, DurableOptions)> = vec![
-        ("wal".to_string(), DurableOptions::log_only()),
-        (
-            "wal+checkpoint".to_string(),
-            DurableOptions::log_only().with_checkpoint_every(CHECKPOINT_EVERY),
-        ),
-    ];
+    let mut durable_modes: Vec<(String, DurableOptions)> =
+        vec![("wal".to_string(), DurableOptions::log_only())];
     for &every in &GROUP_COMMIT {
         durable_modes.push((
             format!("group_commit_{every}"),
@@ -855,8 +850,8 @@ fn bench_wal(samples: usize) -> String {
     format!(
         "{{\n  \"workload\": {{\"rsus\": {WAL_RSUS}, \"array_bits\": {WAL_BITS}, \
          \"fill\": {WAL_FILL}, \"shards\": {WAL_SHARDS}, \
-         \"checkpoint_every\": {CHECKPOINT_EVERY}, \
-         \"group_commit\": [1, 16, 64, 256], \"samples\": {samples}}},\n  \
+         \"group_commit\": [16, 64, 256], \"samples\": {samples}}},\n  \
+         \"explains\": [\"durable.append_ns\", \"durable.flush_ns\"],\n  \
          \"results\": [\n{rows}\n  ]\n}}\n"
     )
 }

@@ -83,7 +83,7 @@ pub use estimator::{
     try_denominator, DegradedEstimate, Estimate, PairCounts, PairEstimate,
 };
 pub use scheme::{Scheme, SchemeKind};
-pub use sizing::{Sizing, VolumeHistory};
+pub use sizing::{Sizing, VolumeHistory, MAX_UPLOAD_BITS};
 pub use sketch::RsuSketch;
 
 // Re-export the identity and substrate types that appear in this crate's

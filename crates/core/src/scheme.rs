@@ -143,8 +143,8 @@ impl Scheme {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if the size computation
-    /// overflows.
+    /// As [`Sizing::size_for`]: only a `Fixed` size below 2 fails;
+    /// load-factor sizing saturates at [`crate::MAX_UPLOAD_BITS`].
     pub fn array_size_for(&self, history_volume: f64) -> Result<usize, CoreError> {
         self.sizing.size_for(history_volume)
     }

@@ -17,11 +17,30 @@ use vcps_hash::RsuId;
 
 use crate::CoreError;
 
+/// The largest bit array an RSU may be sized to and an upload may claim.
+///
+/// The scheme sizes arrays at `f̄ · n` rounded to a power of two; even
+/// the heaviest workload in the paper (500k vehicles, f̄ = 30) stays
+/// below 2^24 bits, so 2^32 (512 MiB dense) is generous while keeping
+/// a malicious frame from demanding an absurd allocation. The upload
+/// validator rejects longer claims and [`Sizing::LoadFactor`] saturates
+/// here, so the server never hands out a size no upload could carry.
+///
+/// Deliberately a `u64`, not a `usize`: a wire length arrives as a
+/// `u64` and must be bounds-checked *in that width* before any cast —
+/// `1usize << 32` would wrap to 0 on a 32-bit target.
+pub const MAX_UPLOAD_BITS: u64 = 1 << 32;
+
+/// The bound must mean 2^32 on every target; a `usize`-typed constant
+/// is exactly what a 32-bit build would fail here.
+const _: () = assert!(MAX_UPLOAD_BITS == 4_294_967_296);
+
 /// How a scheme sizes RSU bit arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Sizing {
     /// The paper's rule: `m = 2^ceil(log2(n̄ · f̄))` with global load
-    /// factor `f̄` — arrays scale with each RSU's traffic.
+    /// factor `f̄` — arrays scale with each RSU's traffic, saturating at
+    /// [`MAX_UPLOAD_BITS`].
     LoadFactor(f64),
     /// The \[9\] baseline: one fixed size `m` for every RSU regardless of
     /// traffic.
@@ -33,17 +52,19 @@ impl Sizing {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if the computed size is
-    /// below 2 or overflows (`LoadFactor` with absurd inputs).
+    /// Returns [`CoreError::InvalidConfig`] for a `Fixed` size below 2.
+    /// `LoadFactor` never fails: a target above [`MAX_UPLOAD_BITS`]
+    /// (one absurd upload counter, say) saturates there, so a period
+    /// close cannot be wedged by its history.
     pub fn size_for(&self, history_volume: f64) -> Result<usize, CoreError> {
         match *self {
             Sizing::LoadFactor(f) => {
-                let target = history_volume * f;
+                let mut target = history_volume * f;
+                if target > MAX_UPLOAD_BITS as f64 {
+                    target = MAX_UPLOAD_BITS as f64;
+                }
                 let m = Pow2::ceil_from(target)
-                    .map_err(|_| CoreError::InvalidConfig {
-                        parameter: "load_factor",
-                        reason: format!("target size {target} overflows"),
-                    })?
+                    .expect("a target capped at MAX_UPLOAD_BITS is a valid power of two")
                     .get();
                 if m < 2 {
                     // ceil_from rounds degenerate targets to 1; the paper
@@ -210,6 +231,18 @@ mod tests {
         let sizing = Sizing::LoadFactor(3.0);
         assert_eq!(sizing.size_for(0.0).unwrap(), 2);
         assert_eq!(sizing.size_for(0.3).unwrap(), 2);
+    }
+
+    #[test]
+    fn load_factor_sizing_saturates_at_the_upload_cap() {
+        let sizing = Sizing::LoadFactor(3.0);
+        let cap = MAX_UPLOAD_BITS as usize;
+        assert_eq!(sizing.size_for(u64::MAX as f64).unwrap(), cap);
+        assert_eq!(sizing.size_for(f64::INFINITY).unwrap(), cap);
+        assert_eq!(sizing.size_for(cap as f64 / 3.0).unwrap(), cap);
+        assert_eq!(sizing.size_for(cap as f64 / 6.0).unwrap(), cap / 2);
+        // NaN keeps its old meaning: a degenerate target, the floor.
+        assert_eq!(sizing.size_for(f64::NAN).unwrap(), 2);
     }
 
     #[test]

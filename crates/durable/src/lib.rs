@@ -79,37 +79,34 @@ const CHECKPOINT_HEADER: usize = 8 + 24;
 /// Durability is a *prefix* property under every policy: records reach
 /// stable storage strictly in append order, so a crash loses at most
 /// the buffered tail past the last flush boundary — never a record in
-/// the middle. The trade is explicit: per-record flushing pays one
-/// fsync per record; grouped policies amortize that fsync over many
-/// records at the cost of a bounded, caller-chosen window of
+/// the middle. The trade is explicit: `EveryRecords(1)` pays one fsync
+/// per record; larger groups amortize that fsync over many records at
+/// the cost of a bounded, caller-chosen window of
 /// acknowledged-but-volatile appends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Flush and fsync after every appended record: maximum durability,
-    /// one fsync per record. The default, and the pre-group-commit
-    /// behavior of the durable server.
-    #[default]
-    PerRecord,
     /// Flush and fsync once this many records have accumulated in the
-    /// buffer (group commit). Must be positive; `EveryRecords(1)` is
-    /// equivalent to [`PerRecord`](FlushPolicy::PerRecord).
+    /// buffer (group commit). Must be positive. The default,
+    /// `EveryRecords(1)`, makes every record durable before `append`
+    /// returns.
     EveryRecords(u64),
-    /// Flush and fsync once the buffer holds at least this many bytes
-    /// (headers included). Must be positive.
-    EveryBytes(u64),
     /// Flush only on an explicit [`WalWriter::sync`] — the caller owns
     /// the boundary (e.g. once per period).
     Manual,
 }
 
+impl Default for FlushPolicy {
+    fn default() -> Self {
+        FlushPolicy::EveryRecords(1)
+    }
+}
+
 impl FlushPolicy {
-    /// Whether the buffer state (`records` buffered records spanning
-    /// `bytes` bytes) makes a flush due under this policy.
-    fn due(self, records: u64, bytes: u64) -> bool {
+    /// Whether `records` buffered records make a flush due under this
+    /// policy.
+    fn due(self, records: u64) -> bool {
         match self {
-            FlushPolicy::PerRecord => true,
             FlushPolicy::EveryRecords(n) => records >= n,
-            FlushPolicy::EveryBytes(t) => bytes >= t,
             FlushPolicy::Manual => false,
         }
     }
@@ -288,9 +285,8 @@ impl Drop for WalWriter {
 impl WalWriter {
     /// Creates (or truncates) a WAL file, writes the magic prefix, and
     /// fsyncs the parent directory so the log's name survives a crash.
-    /// The writer starts under [`FlushPolicy::PerRecord`]; use
-    /// [`with_flush_policy`](WalWriter::with_flush_policy) or
-    /// [`set_flush_policy`](WalWriter::set_flush_policy) to opt into
+    /// The writer starts under `FlushPolicy::EveryRecords(1)`; use
+    /// [`with_flush_policy`](WalWriter::with_flush_policy) to opt into
     /// group commit.
     ///
     /// # Errors
@@ -364,14 +360,6 @@ impl WalWriter {
         self
     }
 
-    /// Sets the flush policy in place. Already-buffered records keep
-    /// waiting for the next flush trigger (or explicit
-    /// [`sync`](WalWriter::sync)); tightening the policy only governs
-    /// subsequent appends.
-    pub fn set_flush_policy(&mut self, policy: FlushPolicy) {
-        self.policy = policy;
-    }
-
     /// The active flush policy.
     #[must_use]
     pub fn flush_policy(&self) -> FlushPolicy {
@@ -395,9 +383,9 @@ impl WalWriter {
 
     /// Appends one record to the group-commit buffer, flushing (file
     /// write + fsync) if the writer's [`FlushPolicy`] says the batch is
-    /// due. Under [`FlushPolicy::PerRecord`] (the default) the record
-    /// is durable when this returns; under grouped policies it is
-    /// durable once a later flush covers it.
+    /// due. Under `EveryRecords(1)` (the default) the record is durable
+    /// when this returns; under larger groups it is durable once a
+    /// later flush covers it.
     ///
     /// # Errors
     ///
@@ -413,10 +401,7 @@ impl WalWriter {
         self.len += (RECORD_HEADER + payload.len()) as u64;
         self.records += 1;
         self.buffered_records += 1;
-        if self
-            .policy
-            .due(self.buffered_records, self.buf.len() as u64)
-        {
+        if self.policy.due(self.buffered_records) {
             self.sync()?;
         }
         Ok(())
@@ -938,14 +923,14 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Per-record (default) policy: every append is flushed, so the
-    /// on-disk log always matches the logical log.
+    /// The default policy, `EveryRecords(1)`: every append is flushed,
+    /// so the on-disk log always matches the logical log.
     #[test]
     fn per_record_policy_flushes_every_append() {
         let dir = temp_dir("flush-per-record");
         let path = dir.join("frames.wal");
         let mut writer = WalWriter::create(&path).unwrap();
-        assert_eq!(writer.flush_policy(), FlushPolicy::PerRecord);
+        assert_eq!(writer.flush_policy(), FlushPolicy::EveryRecords(1));
         for i in 0u8..4 {
             writer.append(&[i; 9]).unwrap();
             assert_eq!(writer.buffered_records(), 0);
@@ -1006,30 +991,6 @@ mod tests {
         writer.sync().unwrap();
         assert_eq!(writer.flushes(), 3);
         assert_eq!(read_wal(&path).unwrap().records.len(), 7);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// EveryBytes(t): flushes trigger on buffered byte volume, headers
-    /// included.
-    #[test]
-    fn every_bytes_policy_groups_by_volume() {
-        let dir = temp_dir("flush-every-bytes");
-        let path = dir.join("frames.wal");
-        // Each record is 16 + 10 = 26 bytes; threshold 52 → flush every
-        // second append.
-        let mut writer = WalWriter::create(&path)
-            .unwrap()
-            .with_flush_policy(FlushPolicy::EveryBytes(52));
-        writer.append(&[1; 10]).unwrap();
-        assert_eq!(writer.buffered_records(), 1);
-        assert_eq!(writer.flushes(), 0);
-        writer.append(&[2; 10]).unwrap();
-        assert_eq!(writer.buffered_records(), 0);
-        assert_eq!(writer.flushes(), 1);
-        // A single oversized record flushes immediately.
-        writer.append(&[3; 100]).unwrap();
-        assert_eq!(writer.buffered_records(), 0);
-        assert_eq!(writer.flushes(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,10 +18,13 @@
 //!   [--alpha F]               history EWMA weight (default 1.0)
 //!   [--shards N]              ingest shards (default 4)
 //!   [--od-threads N]          O–D query workers (default 4)
-//!   [--wal-dir DIR]           durable mode: WAL + checkpoints here
-//!   [--checkpoint-every N]    (durable) checkpoint interval in frames
-//!   [--flush-every N]         (durable) group-commit every N records
-//!                             (default: fsync per record)
+//!   [--wal-dir DIR]           durable mode: every upload, close and
+//!                             seed is logged here (a checkpoint is
+//!                             published at each close); an existing
+//!                             log is recovered on boot
+//!   [--flush-every N]         (durable) group-commit every N upload
+//!                             records (default: fsync per record;
+//!                             closes are always fsynced)
 //!   [--max-frame-bytes N]     frame cap, checked before allocation
 //!   [--max-frames-in-flight N] per-connection pipeline depth
 //!   [--max-bytes-per-sec N]   per-connection ingest budget
@@ -83,9 +86,6 @@ fn main() {
     if let Some(dir) = arg_value(&args, "--wal-dir") {
         config.wal_dir = Some(dir.into());
         let mut options = DurableOptions::log_only();
-        if let Some(every) = arg_value(&args, "--checkpoint-every").and_then(|v| v.parse().ok()) {
-            options = options.with_checkpoint_every(every);
-        }
         if let Some(records) = arg_value(&args, "--flush-every").and_then(|v| v.parse().ok()) {
             options = options.with_flush(FlushPolicy::EveryRecords(records));
         }

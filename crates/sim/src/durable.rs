@@ -1,34 +1,34 @@
 //! Durable ingestion: [`DurableServer`] wraps a [`ShardedServer`] with
-//! a write-ahead frame log and periodic whole-deployment checkpoints
-//! (both from `vcps-durable`), so a process crash between `receive` and
-//! `finish_period` no longer loses the period's masked uploads.
+//! a write-ahead log (from `vcps-durable`) that alone reproduces the
+//! deployment's state, so a process crash loses nothing the log made
+//! durable.
 //!
-//! # Recovery model
+//! # The log is the state
 //!
-//! Uploads arrive as wire frames through one entry point,
-//! [`DurableServer::receive_wire`]. Each frame is validated once as a
-//! sequenced [`UploadFrameRef`] (tag 5 or 6; bare tags 3/4 carry no
-//! sequence number and are refused), appended to the WAL *verbatim* —
-//! the log is the wire, no re-encode — and only then applied from the
-//! view already validated (fsynced per record by default, or batched
-//! under a group-commit [`FlushPolicy`] — see DESIGN.md §18). Every
-//! accepted frame is logged, whatever its outcome, not just `Fresh`:
-//! recovery replays the log through the very same validate-and-apply
-//! step, so dedup and sequencing decisions are reproduced *by
-//! construction* instead of by a recovery routine that could drift.
-//! Recovery is therefore:
+//! Every state transition is a WAL record, appended *before* it is
+//! applied: an **upload** — a sequenced wire frame (tag 5 or 6; bare
+//! tags 3/4 carry no sequence number and are refused) accepted by
+//! [`DurableServer::receive_wire`] and logged verbatim, whatever its
+//! dedup outcome; a **close** — [`DurableServer::finish_period`]; a
+//! **seed** — one [`DurableServer::seed_history`] call. Only this
+//! module knows the close and seed formats; their tags collide with no
+//! wire tag, and `receive_wire` admits uploads only, so no network
+//! client can inject one. Both are flushed before they are applied
+//! under every [`FlushPolicy`], so group commit can lose only buffered
+//! upload frames (DESIGN.md §18).
+//!
+//! Checkpoints are a cache over the log, published after each close
+//! record; a failed publish costs recovery time, never state. Recovery:
 //!
 //! 1. load the newest checkpoint that validates **and** is covered by
 //!    the WAL's surviving prefix (a checkpoint ahead of a mid-file
 //!    corruption is ignored — state is only trusted when the log that
-//!    produced it is);
-//! 2. replay the WAL records past the checkpoint through that same
-//!    validate-and-apply step, silently (the rebuilt server carries a
-//!    disabled observability handle during replay — every replayed
-//!    frame was already counted when it was first accepted, so counters
-//!    fire exactly once per live event and a crashed-and-recovered
-//!    run's registry matches an uninterrupted run's, modulo the `wal.*`
-//!    series);
+//!    produced it is), else start from scratch;
+//! 2. replay the records past it through the server calls the live
+//!    path made, silently (the rebuilt server carries a disabled
+//!    observability handle during replay, so a crashed-and-recovered
+//!    run's registry matches an uninterrupted run's, modulo the
+//!    `wal.*` series);
 //! 3. truncate any torn tail so future appends land after the last
 //!    valid record, and re-attach the real observability handle.
 //!
@@ -38,7 +38,7 @@
 //! a record that failed its checksum. See DESIGN.md §17.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use vcps_core::estimator::Estimate;
 use vcps_core::{CoreError, PairEstimate, RsuId, Scheme};
@@ -55,34 +55,77 @@ pub const WAL_FILE: &str = "frames.wal";
 /// Subdirectory holding published checkpoints.
 pub const CHECKPOINT_DIR: &str = "checkpoints";
 
+/// A close record: this one byte, nothing else.
+const CLOSE_RECORD: u8 = 0xC1;
+
+/// A seed record: this byte, then a `u64` count and `count` ×
+/// (`u64` RSU id ‖ `u64` average as IEEE-754 bits), big-endian.
+const SEED_RECORD: u8 = 0xC2;
+
+/// One WAL record, validated.
+enum Record<'a> {
+    Upload(UploadFrameRef<'a>),
+    Close,
+    Seed(Vec<(RsuId, f64)>),
+}
+
+impl<'a> Record<'a> {
+    /// Tells the record kinds apart by their first byte; anything that
+    /// is neither a close nor a seed must be a sequenced upload frame.
+    fn decode(bytes: &'a [u8]) -> Result<Self, SimError> {
+        let malformed = |reason| SimError::MalformedMessage { reason };
+        match bytes.split_first() {
+            Some((&CLOSE_RECORD, [])) => Ok(Record::Close),
+            Some((&CLOSE_RECORD, _)) => Err(malformed("close record carries trailing bytes")),
+            Some((&SEED_RECORD, body)) => {
+                let (count, pairs) = body
+                    .split_first_chunk::<8>()
+                    .ok_or(malformed("seed record truncated"))?;
+                if pairs.len() % 16 != 0 || (pairs.len() / 16) as u64 != u64::from_be_bytes(*count)
+                {
+                    return Err(malformed("seed record length disagrees with its count"));
+                }
+                let word = |b: &[u8]| u64::from_be_bytes(b.try_into().expect("8-byte slice"));
+                Ok(Record::Seed(
+                    pairs
+                        .chunks_exact(16)
+                        .map(|p| (RsuId(word(&p[..8])), f64::from_bits(word(&p[8..]))))
+                        .collect(),
+                ))
+            }
+            _ => UploadFrameRef::decode_sequenced_ref(bytes).map(Record::Upload),
+        }
+    }
+}
+
+fn encode_seed_record(seeds: &[(RsuId, f64)]) -> Vec<u8> {
+    let mut record = Vec::with_capacity(9 + 16 * seeds.len());
+    record.push(SEED_RECORD);
+    record.extend_from_slice(&(seeds.len() as u64).to_be_bytes());
+    for &(rsu, average) in seeds {
+        record.extend_from_slice(&rsu.0.to_be_bytes());
+        record.extend_from_slice(&average.to_bits().to_be_bytes());
+    }
+    record
+}
+
 /// Durability tuning for a [`DurableServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DurableOptions {
-    /// Publish a whole-deployment checkpoint every this many WAL
-    /// records (`None`: log-only, recovery replays from the start).
-    /// Must be positive when set.
-    pub checkpoint_interval: Option<u64>,
     /// When WAL appends are flushed to stable storage (group commit,
-    /// DESIGN.md §18). The default, [`FlushPolicy::PerRecord`], keeps
-    /// the original acknowledge-after-fsync semantics; grouped policies
-    /// trade a bounded window of acknowledged-but-volatile frames for
-    /// an order-of-magnitude fsync reduction. Thresholded policies must
-    /// be positive.
+    /// DESIGN.md §18). The default, `EveryRecords(1)`, keeps
+    /// acknowledge-after-fsync semantics; larger groups trade a bounded
+    /// window of acknowledged-but-volatile upload frames for an
+    /// order-of-magnitude fsync reduction. The threshold must be
+    /// positive.
     pub flush: FlushPolicy,
 }
 
 impl DurableOptions {
-    /// Log-only durability: every frame is persisted, no checkpoints.
+    /// Every record fsynced before it is acknowledged.
     #[must_use]
     pub fn log_only() -> Self {
         Self::default()
-    }
-
-    /// Checkpoint every `interval` WAL records.
-    #[must_use]
-    pub fn with_checkpoint_every(mut self, interval: u64) -> Self {
-        self.checkpoint_interval = Some(interval);
-        self
     }
 
     /// Sets the WAL group-commit flush policy.
@@ -93,16 +136,7 @@ impl DurableOptions {
     }
 
     fn validate(&self) -> Result<(), SimError> {
-        if self.checkpoint_interval == Some(0) {
-            return Err(SimError::Core(CoreError::InvalidConfig {
-                parameter: "checkpoint_interval",
-                reason: "must be positive when set".to_string(),
-            }));
-        }
-        if matches!(
-            self.flush,
-            FlushPolicy::EveryRecords(0) | FlushPolicy::EveryBytes(0)
-        ) {
+        if self.flush == FlushPolicy::EveryRecords(0) {
             return Err(SimError::Core(CoreError::InvalidConfig {
                 parameter: "flush",
                 reason: "flush threshold must be positive".to_string(),
@@ -118,7 +152,7 @@ pub struct RecoveryReport {
     /// WAL records covered by the restored checkpoint (0: no usable
     /// checkpoint, full replay).
     pub checkpoint_records: u64,
-    /// WAL records replayed through the live validate-and-apply step.
+    /// WAL records replayed through the live apply step.
     pub replayed_records: u64,
     /// Bytes of torn/corrupt WAL tail discarded before resuming
     /// appends.
@@ -128,12 +162,12 @@ pub struct RecoveryReport {
     pub tail_error: Option<DurabilityError>,
 }
 
-/// A [`ShardedServer`] whose ingestion is write-ahead logged and
-/// periodically checkpointed, recoverable bit-identically after a
-/// process crash (see the module docs for the recovery model).
+/// A [`ShardedServer`] whose every state transition is write-ahead
+/// logged, recoverable bit-identically after a process crash (see the
+/// module docs for the recovery model).
 ///
 /// Reads go straight to the wrapped server via [`server`](Self::server)
-/// — durability is an ingest-side concern only.
+/// — durability is a write-side concern only.
 #[derive(Debug)]
 pub struct DurableServer {
     inner: ShardedServer,
@@ -141,7 +175,6 @@ pub struct DurableServer {
     store: CheckpointStore,
     options: DurableOptions,
     records_logged: u64,
-    last_checkpoint: u64,
 }
 
 impl DurableServer {
@@ -172,9 +205,9 @@ impl DurableServer {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Core`] for an invalid shard count, alpha,
-    /// or checkpoint interval, and [`SimError::Durability`] if the
-    /// directory or log cannot be created.
+    /// Returns [`SimError::Core`] for an invalid shard count, alpha, or
+    /// flush threshold, and [`SimError::Durability`] if the directory
+    /// or log cannot be created.
     pub fn create(
         scheme: Scheme,
         history_alpha: f64,
@@ -196,17 +229,16 @@ impl DurableServer {
             store,
             options,
             records_logged: 0,
-            last_checkpoint: 0,
         })
     }
 
     /// Rebuilds a durable server from what `dir` holds: newest usable
-    /// checkpoint plus a silent WAL-tail replay (see the module docs),
-    /// tolerating torn writes, truncated tails, and bit-flipped records
-    /// — the scan stops at the first corrupt record and the tail is
-    /// discarded, reported in the [`RecoveryReport`]. A missing WAL is
-    /// an empty one (the crash may have landed before the first
-    /// append).
+    /// checkpoint (if any) plus a silent replay of every record past it
+    /// (see the module docs), tolerating torn writes, truncated tails,
+    /// and bit-flipped records — the scan stops at the first corrupt
+    /// record and the tail is discarded, reported in the
+    /// [`RecoveryReport`]. A missing WAL is an empty one (the crash may
+    /// have landed before the first append).
     ///
     /// `history_alpha` and `shard_count` describe the deployment being
     /// recovered; a checkpoint whose topology disagrees with
@@ -279,12 +311,20 @@ impl DurableServer {
         };
         // Silent replay: `inner` carries a disabled observability
         // handle here (both construction paths leave it disabled), so
-        // replayed frames are not double-counted.
-        let mut replayed = 0u64;
-        for frame in &records[start as usize..] {
-            inner.apply(&UploadFrameRef::decode_sequenced_ref(frame)?);
-            replayed += 1;
+        // replayed records are not double-counted. Each kind goes
+        // through the server call its live path made.
+        for record in &records[start as usize..] {
+            match Record::decode(record)? {
+                Record::Upload(frame) => {
+                    inner.apply(&frame);
+                }
+                Record::Close => {
+                    inner.finish_period()?;
+                }
+                Record::Seed(seeds) => inner.seed(&seeds)?,
+            }
         }
+        let replayed = total - start;
         inner.set_obs(obs.clone());
         obs.inc("wal.recover");
         obs.add("wal.replay.records", replayed);
@@ -301,7 +341,6 @@ impl DurableServer {
                 store,
                 options,
                 records_logged: total,
-                last_checkpoint: start,
             },
             report,
         ))
@@ -312,8 +351,6 @@ impl DurableServer {
     /// group-commit-buffered WAL records — and rebuilds the deployment
     /// from its directory via [`recover`](Self::recover) with the same
     /// scheme, alpha, topology, options, and observability handle.
-    /// History seeds are configuration, not logged state: re-apply them
-    /// unless a checkpoint restored them.
     ///
     /// # Errors
     ///
@@ -334,37 +371,33 @@ impl DurableServer {
         Self::recover(scheme, history_alpha, shard_count, &dir, options, &obs)
     }
 
-    /// Appends one frame to the WAL — the write-ahead step, always
+    /// Appends one record to the WAL — the write-ahead step, always
     /// before the in-memory apply. Whether the append is fsynced here
-    /// (per-record) or batched into a later group commit is the
-    /// [`FlushPolicy`]'s call; `wal.fsync` counts the flushes that
-    /// actually happened.
-    fn log_frame(&mut self, frame: &[u8]) -> Result<(), SimError> {
+    /// or batched into a later group commit is the [`FlushPolicy`]'s
+    /// call; `wal.fsync` counts the flushes that actually happened.
+    fn log_record(&mut self, record: &[u8]) -> Result<(), SimError> {
         let obs = self.inner.obs().clone();
         let _timer = obs.phase(Phase::WalAppend);
         let flushes_before = self.wal.flushes();
-        self.wal.append(frame)?;
+        self.wal.append(record)?;
         self.records_logged += 1;
         obs.inc("wal.append");
-        obs.add("wal.append.bytes", frame.len() as u64);
+        obs.add("wal.append.bytes", record.len() as u64);
         obs.add("wal.fsync", self.wal.flushes() - flushes_before);
         Ok(())
     }
 
-    /// Publishes a checkpoint if the configured cadence is due.
-    fn maybe_checkpoint(&mut self) -> Result<(), SimError> {
-        if let Some(interval) = self.options.checkpoint_interval {
-            if self.records_logged - self.last_checkpoint >= interval {
-                self.checkpoint_now()?;
-            }
-        }
-        Ok(())
+    /// Appends a close or seed record and flushes the log through it:
+    /// these are full-durability points under every [`FlushPolicy`].
+    fn log_durably(&mut self, record: &[u8]) -> Result<(), SimError> {
+        self.log_record(record)?;
+        self.flush_wal()
     }
 
     /// Flushes any group-commit-buffered WAL records to stable storage
     /// — the explicit flush boundary for [`FlushPolicy::Manual`] (and
-    /// an early boundary for the thresholded policies). Every frame
-    /// acknowledged before this call is durable once it returns.
+    /// an early boundary for `EveryRecords`). Every frame acknowledged
+    /// before this call is durable once it returns.
     ///
     /// # Errors
     ///
@@ -378,62 +411,64 @@ impl DurableServer {
         Ok(())
     }
 
-    /// Publishes a whole-deployment checkpoint covering everything
-    /// logged so far, unconditionally. The WAL is flushed first so the
-    /// checkpoint never claims records the log does not durably hold
-    /// (recovery trusts a checkpoint only as far as the surviving log
-    /// prefix).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Durability`] if the flush or publication
-    /// fails.
-    pub fn checkpoint_now(&mut self) -> Result<(), SimError> {
-        self.flush_wal()?;
-        let set = self.inner.checkpoint(self.records_logged);
-        self.store.publish(self.records_logged, &set.encode())?;
-        self.last_checkpoint = self.records_logged;
-        self.inner.obs().inc("wal.checkpoint");
-        Ok(())
-    }
-
     /// Validates one sequenced upload frame (tag 5 or 6), appends its
     /// bytes verbatim to the WAL as one record, then applies the view
-    /// already validated through [`ShardedServer::receive_wire`]'s
-    /// routing — the same apply [`recover`](Self::recover) replays
-    /// through.
+    /// already validated — the same apply [`recover`](Self::recover)
+    /// replays through.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::MalformedMessage`] for a bare upload (tags
-    /// 3/4) or a frame the validator rejects — nothing is logged or
-    /// applied — and [`SimError::Durability`] if the append, fsync, or
-    /// a due checkpoint fails, in which case the frame was **not**
+    /// 3/4), a close or seed record, or a frame the validator rejects —
+    /// nothing is logged or applied — and [`SimError::Durability`] if
+    /// the append or fsync fails, in which case the frame was **not**
     /// applied (log first, apply second).
     pub fn receive_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
         // Validate before logging: a malformed frame must never enter
         // the log, or replay would fail on it.
         let frame = UploadFrameRef::decode_sequenced_ref(wire)?;
-        self.log_frame(wire)?;
-        let outcomes = self.inner.apply(&frame);
-        self.maybe_checkpoint()?;
-        Ok(outcomes)
+        self.log_record(wire)?;
+        Ok(self.inner.apply(&frame))
     }
 
-    /// [`ShardedServer::finish_period`], followed by a mandatory
-    /// checkpoint: closing a period folds uploads into history and
-    /// drops them, a transition the WAL does not record — the
-    /// checkpoint is what keeps recovery from resurrecting the closed
-    /// period's uploads as current.
+    /// Logs a close record and flushes the log through it, then
+    /// [`ShardedServer::finish_period`], then publishes a checkpoint of
+    /// the closed state. The checkpoint only shortens recovery: if its
+    /// publication fails, `wal.checkpoint.failed` counts it and the
+    /// close still stands, because the log already holds it.
     ///
     /// # Errors
     ///
-    /// Propagates sizing failures and [`SimError::Durability`] from the
-    /// checkpoint publication.
+    /// Returns [`SimError::Durability`] if the close record cannot be
+    /// made durable (nothing is applied then); propagates sizing
+    /// failures.
     pub fn finish_period(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
+        self.log_durably(&[CLOSE_RECORD])?;
         let sizes = self.inner.finish_period()?;
-        self.checkpoint_now()?;
+        let set = self.inner.checkpoint(self.records_logged);
+        if let Err(e) = self.store.publish(self.records_logged, &set.encode()) {
+            let error = [("error", Value::Str(e.to_string()))];
+            self.obs()
+                .event(Level::Warn, "wal.checkpoint.failed", &error);
+            self.obs().inc("wal.checkpoint.failed");
+        } else {
+            self.obs().inc("wal.checkpoint");
+        }
         Ok(sizes)
+    }
+
+    /// Seeds RSUs' historical averages (see
+    /// [`ShardedServer::seed_history`]) as one seed record, logged and
+    /// flushed before it is applied: seeds are state the log
+    /// reproduces, so nothing needs re-applying after a crash.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Durability`] if the record cannot be made
+    /// durable; nothing is applied then.
+    pub fn seed_history(&mut self, seeds: &[(RsuId, f64)]) -> Result<(), SimError> {
+        self.log_durably(&encode_seed_record(seeds))?;
+        self.inner.seed(seeds)
     }
 
     /// The wrapped server — all reads (estimates, O–D matrices) go
@@ -443,29 +478,14 @@ impl DurableServer {
         &self.inner
     }
 
-    /// Consumes the wrapper, yielding the wrapped server (the WAL file
-    /// and checkpoints stay on disk).
-    #[must_use]
-    pub fn into_server(self) -> ShardedServer {
-        self.inner
-    }
-
     /// The attached observability handle (the wrapped server's).
     #[must_use]
     pub fn obs(&self) -> &Obs {
         self.inner.obs()
     }
 
-    /// Re-seeds an RSU's historical average (see
-    /// [`ShardedServer::seed_history`]). Seeds are engine-provided
-    /// configuration, not logged state — a recovering driver re-applies
-    /// them after [`recover`](Self::recover).
-    pub fn seed_history(&mut self, rsu: RsuId, average: f64) {
-        self.inner.seed_history(rsu, average);
-    }
-
-    /// WAL records appended so far (including those found by
-    /// recovery).
+    /// WAL records appended so far, every kind (including those found
+    /// by recovery).
     #[must_use]
     pub fn records_logged(&self) -> u64 {
         self.records_logged
@@ -476,12 +496,6 @@ impl DurableServer {
     pub fn wal_path(&self) -> &Path {
         self.wal.path()
     }
-
-    /// The checkpoint directory.
-    #[must_use]
-    pub fn checkpoint_dir(&self) -> PathBuf {
-        self.store.dir().to_path_buf()
-    }
 }
 
 impl ServerBackend for DurableServer {
@@ -489,8 +503,8 @@ impl ServerBackend for DurableServer {
         self.inner.scheme()
     }
 
-    fn seed(&mut self, rsu: RsuId, average: f64) {
-        self.seed_history(rsu, average);
+    fn seed(&mut self, history: &[(RsuId, f64)]) -> Result<(), SimError> {
+        self.seed_history(history)
     }
 
     fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
@@ -529,6 +543,7 @@ impl ServerBackend for DurableServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use vcps_core::{BitArray, RsuId, Scheme};
 
     use crate::protocol::{BatchUpload, PeriodUpload, SequencedUpload};
@@ -567,21 +582,6 @@ mod tests {
                 bits,
             },
         }
-    }
-
-    #[test]
-    fn options_reject_zero_interval() {
-        let dir = temp_dir("opts");
-        assert!(DurableServer::create(
-            scheme(),
-            1.0,
-            2,
-            &dir,
-            DurableOptions::log_only().with_checkpoint_every(0),
-            &Obs::disabled(),
-        )
-        .is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -633,18 +633,12 @@ mod tests {
         let dir = temp_dir("recover");
         let obs = Obs::disabled();
         let mut reference = ShardedServer::new(scheme(), 1.0, 4).unwrap();
-        let mut durable = DurableServer::create(
-            scheme(),
-            1.0,
-            4,
-            &dir,
-            DurableOptions::log_only().with_checkpoint_every(3),
-            &obs,
-        )
-        .unwrap();
+        let mut durable =
+            DurableServer::create(scheme(), 1.0, 4, &dir, DurableOptions::log_only(), &obs)
+                .unwrap();
         // A stream exercising every verdict: fresh, duplicate,
-        // conflicting, stale.
-        let frames = vec![
+        // conflicting, stale — with a period close in the middle.
+        let frames = [
             sequenced(1, 0, &[3, 77]),
             sequenced(2, 0, &[9]),
             sequenced(1, 0, &[3, 77]), // duplicate
@@ -653,10 +647,16 @@ mod tests {
             sequenced(3, 1, &[200]), // stale
             sequenced(9, 5, &[8, 16, 32]),
         ];
-        for f in &frames {
+        for (i, f) in frames.iter().enumerate() {
             let expected = reference.receive_sequenced(f.clone());
             let got = ingest(&mut durable, f);
             assert_eq!(got, expected);
+            if i == 3 {
+                assert_eq!(
+                    durable.finish_period().unwrap(),
+                    reference.finish_period().unwrap()
+                );
+            }
         }
         let logged = durable.records_logged();
         drop(durable); // the crash: all in-memory state gone
@@ -666,7 +666,10 @@ mod tests {
         assert_eq!(report.tail_error, None);
         assert_eq!(report.truncated_bytes, 0);
         assert_eq!(report.checkpoint_records + report.replayed_records, logged);
-        assert!(report.checkpoint_records > 0, "interval 3 must have fired");
+        assert_eq!(
+            report.checkpoint_records, 5,
+            "the close checkpoint covers 4 frames + close"
+        );
         assert_eq!(recovered.records_logged(), logged);
         // Durable-state equality via the checkpoint image (PartialEq on
         // the wrapped servers' snapshots — derived caches excluded).
@@ -719,16 +722,11 @@ mod tests {
     fn recovery_rejects_topology_mismatch() {
         let dir = temp_dir("topology");
         let obs = Obs::disabled();
-        let mut durable = DurableServer::create(
-            scheme(),
-            1.0,
-            4,
-            &dir,
-            DurableOptions::log_only().with_checkpoint_every(1),
-            &obs,
-        )
-        .unwrap();
+        let mut durable =
+            DurableServer::create(scheme(), 1.0, 4, &dir, DurableOptions::log_only(), &obs)
+                .unwrap();
         ingest(&mut durable, &sequenced(1, 0, &[5]));
+        durable.finish_period().unwrap(); // publishes a 4-shard checkpoint
         drop(durable);
         assert!(matches!(
             DurableServer::recover(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs),
@@ -809,24 +807,22 @@ mod tests {
     #[test]
     fn options_reject_zero_flush_thresholds() {
         let dir = temp_dir("flush-opts");
-        for flush in [FlushPolicy::EveryRecords(0), FlushPolicy::EveryBytes(0)] {
-            assert!(DurableServer::create(
-                scheme(),
-                1.0,
-                2,
-                &dir,
-                DurableOptions::log_only().with_flush(flush),
-                &Obs::disabled(),
-            )
-            .is_err());
-        }
+        assert!(DurableServer::create(
+            scheme(),
+            1.0,
+            2,
+            &dir,
+            DurableOptions::log_only().with_flush(FlushPolicy::EveryRecords(0)),
+            &Obs::disabled(),
+        )
+        .is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Group commit: a crash loses exactly the buffered (unflushed)
     /// tail, and recovery reproduces the state of a reference server
-    /// fed the surviving prefix. `finish_period` (checkpoint) is a
-    /// flush boundary, so a closed period is never lost.
+    /// fed the surviving prefix. A close is a flush boundary, so a
+    /// closed period is never lost.
     #[test]
     fn group_commit_crash_loses_only_the_buffered_tail() {
         let dir = temp_dir("group-commit");
@@ -870,13 +866,13 @@ mod tests {
         std::fs::remove_dir_all(&dir2).unwrap();
     }
 
-    /// A checkpoint must never claim records the log does not durably
-    /// hold: under Manual flushing, `checkpoint_now` (and thus
-    /// `finish_period`) flushes the WAL before publishing, so the
-    /// recovered checkpoint is always covered by the log prefix.
+    /// A close is a full-durability point even under Manual flushing:
+    /// the close record and every upload before it are on disk before
+    /// the close is applied, so the checkpoint published after it is
+    /// always covered by the log.
     #[test]
-    fn checkpoint_flushes_buffered_records_first() {
-        let dir = temp_dir("ckpt-flush");
+    fn close_flushes_buffered_records_first() {
+        let dir = temp_dir("close-flush");
         let obs = Obs::disabled();
         let options = DurableOptions::log_only().with_flush(FlushPolicy::Manual);
         let mut durable = DurableServer::create(scheme(), 1.0, 2, &dir, options, &obs).unwrap();
@@ -887,35 +883,98 @@ mod tests {
         }
         durable.finish_period().unwrap();
         reference.finish_period().unwrap();
-        drop(durable); // no explicit flush after the checkpoint
+        drop(durable); // no explicit flush after the close
         let (recovered, report) =
             DurableServer::recover(scheme(), 1.0, 2, &dir, options, &obs).unwrap();
-        assert_eq!(report.checkpoint_records, 2, "checkpoint covered by log");
+        assert_eq!(report.checkpoint_records, 3, "checkpoint covered by log");
         assert_eq!(recovered.server().upload_count(), 0);
         assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The close is a log record, so the closed period's uploads stay
+    /// closed whether recovery starts from the close checkpoint or, with
+    /// every checkpoint gone, from the log alone — and so do the seeds.
     #[test]
-    fn finish_period_checkpoint_prevents_upload_resurrection() {
+    fn logged_close_and_seeds_survive_without_checkpoints() {
         let dir = temp_dir("finish");
         let obs = Obs::disabled();
         let mut durable =
             DurableServer::create(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
                 .unwrap();
         let mut reference = ShardedServer::new(scheme(), 1.0, 2).unwrap();
+        let seeds = [(RsuId(1), 40.0), (RsuId(7), 900.0)];
+        durable.seed_history(&seeds).unwrap();
+        reference.seed(&seeds).unwrap();
         for f in [sequenced(1, 0, &[5]), sequenced(2, 0, &[6])] {
             ingest(&mut durable, &f);
             reference.receive_sequenced(f);
         }
         durable.finish_period().unwrap();
         reference.finish_period().unwrap();
+        ingest(&mut durable, &sequenced(2, 1, &[7]));
+        reference.receive_sequenced(sequenced(2, 1, &[7]));
         drop(durable);
-        let (recovered, _) =
+        for checkpointed in [true, false] {
+            if !checkpointed {
+                std::fs::remove_dir_all(dir.join(CHECKPOINT_DIR)).unwrap();
+            }
+            let (recovered, report) =
+                DurableServer::recover(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
+                    .unwrap();
+            assert_eq!(report.checkpoint_records, if checkpointed { 4 } else { 0 });
+            assert_eq!(report.checkpoint_records + report.replayed_records, 5);
+            assert_eq!(recovered.server().upload_count(), 1);
+            assert_eq!(recovered.server().history_average(RsuId(7)), Some(900.0));
+            assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed checkpoint publish costs recovery time, never the close:
+    /// `finish_period` still succeeds and counts the failure.
+    #[test]
+    fn failed_checkpoint_publish_keeps_the_close() {
+        let dir = temp_dir("publish-fails");
+        let obs = Obs::enabled(Level::Info);
+        let mut durable =
+            DurableServer::create(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
+                .unwrap();
+        let mut reference = ShardedServer::new(scheme(), 1.0, 2).unwrap();
+        ingest(&mut durable, &sequenced(1, 0, &[5]));
+        reference.receive_sequenced(sequenced(1, 0, &[5]));
+        std::fs::remove_dir_all(dir.join(CHECKPOINT_DIR)).unwrap();
+        assert_eq!(
+            durable.finish_period().unwrap(),
+            reference.finish_period().unwrap()
+        );
+        assert_eq!(obs.snapshot().counters["wal.checkpoint.failed"], 1);
+        drop(durable);
+        let (recovered, report) =
             DurableServer::recover(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
                 .unwrap();
-        assert_eq!(recovered.server().upload_count(), 0);
+        assert_eq!(report.replayed_records, 2);
         assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The WAL-only kinds are refused at the network door: a client can
+    /// never inject a close or a seed.
+    #[test]
+    fn receive_wire_refuses_close_and_seed_records() {
+        let dir = temp_dir("inject");
+        let obs = Obs::disabled();
+        let mut durable =
+            DurableServer::create(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
+                .unwrap();
+        for wire in [vec![CLOSE_RECORD], encode_seed_record(&[(RsuId(1), 5.0)])] {
+            assert!(matches!(
+                durable.receive_wire(&wire),
+                Err(SimError::MalformedMessage { .. })
+            ));
+        }
+        assert_eq!(durable.records_logged(), 0);
+        assert_eq!(durable.server().history_average(RsuId(1)), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -192,16 +192,21 @@ pub trait ServerBackend: Sized {
     /// [`SimError::Durability`] when the log fails.
     fn ingest_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError>;
 
-    /// Seeds one RSU's volume history before the first period.
-    fn seed(&mut self, rsu: RsuId, average: f64);
+    /// Seeds RSUs' volume histories before the first period, as one
+    /// call (one log record on the durable backend).
+    ///
+    /// # Errors
+    ///
+    /// For the durable backend, [`SimError::Durability`] when the log
+    /// fails.
+    fn seed(&mut self, history: &[(RsuId, f64)]) -> Result<(), SimError>;
 
     /// Closes the open period (see [`ShardedServer::finish_period`]),
     /// returning each RSU's array size for the next one.
     ///
     /// # Errors
     ///
-    /// Propagates sizing (and, for the durable backend, checkpoint)
-    /// failures.
+    /// Propagates sizing (and, for the durable backend, log) failures.
     fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError>;
 
     /// The open period's all-pairs O–D matrix on `threads` workers.
@@ -253,8 +258,11 @@ impl ServerBackend for ShardedServer {
         ShardedServer::scheme(self)
     }
 
-    fn seed(&mut self, rsu: RsuId, average: f64) {
-        self.seed_history(rsu, average);
+    fn seed(&mut self, history: &[(RsuId, f64)]) -> Result<(), SimError> {
+        for &(rsu, average) in history {
+            self.seed_history(rsu, average);
+        }
+        Ok(())
     }
 
     fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
@@ -347,9 +355,8 @@ pub struct PeriodRun {
     /// [`ServerCrash::at_record`] — before each upload session on the
     /// faulty path, before and after the period's batch on the ideal
     /// path — or at the end of the last period's ingest if the log
-    /// never gets that far. A recovery in period 0 re-applies the
-    /// initial history seeds (configuration, not logged state); later
-    /// periods recover history from the `finish_period` checkpoint.
+    /// never gets that far. The log holds the seeds and every close, so
+    /// recovery needs nothing else from the run loop.
     pub crash: Option<ServerCrash>,
 }
 
@@ -446,9 +453,12 @@ impl PeriodRun {
         };
         let obs = server.obs().clone();
         let scheme = server.scheme().clone();
-        for (node, &avg) in initial_history.iter().enumerate() {
-            server.seed(RsuId(node as u64), avg);
-        }
+        let seeds: Vec<(RsuId, f64)> = initial_history
+            .iter()
+            .enumerate()
+            .map(|(node, &avg)| (RsuId(node as u64), avg))
+            .collect();
+        server.seed(&seeds)?;
         let mut sizes = initial_history
             .iter()
             .map(|&avg| scheme.array_size_for(avg))
@@ -456,7 +466,6 @@ impl PeriodRun {
         let mut crash = CrashPoint {
             at_record: self.crash.map(|c| c.at_record),
             report: None,
-            seeds: initial_history,
         };
         let mut window = self.window.map(SlidingWindow::new);
         let mut sizes_per_period = Vec::with_capacity(periods.len());
@@ -521,7 +530,7 @@ impl PeriodRun {
                     let channel = plan.upload_channel(p as u64);
                     let mut undelivered = Vec::new();
                     for rsu in &rsus {
-                        server = crash.boundary(server, p, false)?;
+                        server = crash.boundary(server, false)?;
                         let upload = rsu.upload();
                         let delivery = faults::upload_with_retry(
                             &upload,
@@ -537,7 +546,7 @@ impl PeriodRun {
                             undelivered.push(upload.rsu);
                         }
                     }
-                    server = crash.boundary(server, p, last)?;
+                    server = crash.boundary(server, last)?;
                     faults.record_into(&obs);
                     obs.add("engine.undelivered", undelivered.len() as u64);
                     faults_per_period.push(faults);
@@ -553,9 +562,9 @@ impl PeriodRun {
                         .collect();
                     let _receive = obs.phase(Phase::Receive);
                     let wire = BatchUpload::new(frames)?.encode();
-                    server = crash.boundary(server, p, false)?;
+                    server = crash.boundary(server, false)?;
                     uploads_delivered += server.ingest_wire(&wire)?.len();
-                    server = crash.boundary(server, p, last)?;
+                    server = crash.boundary(server, last)?;
                 }
             }
             ingest_ns += ingest_started.elapsed().as_nanos();
@@ -595,27 +604,16 @@ impl PeriodRun {
 /// The armed [`ServerCrash`] of one run: fires once, at the first
 /// ingest boundary where the log has reached `at_record` (or when
 /// forced at the run's last boundary).
-struct CrashPoint<'a> {
+struct CrashPoint {
     at_record: Option<u64>,
     report: Option<RecoveryReport>,
-    seeds: &'a [f64],
 }
 
-impl CrashPoint<'_> {
-    fn boundary<S: ServerBackend>(
-        &mut self,
-        server: S,
-        period: usize,
-        force: bool,
-    ) -> Result<S, SimError> {
+impl CrashPoint {
+    fn boundary<S: ServerBackend>(&mut self, server: S, force: bool) -> Result<S, SimError> {
         match self.at_record {
             Some(at) if self.report.is_none() && (force || server.records_logged() >= at) => {
-                let (mut server, report) = server.crash_and_recover()?;
-                if period == 0 {
-                    for (node, &avg) in self.seeds.iter().enumerate() {
-                        server.seed(RsuId(node as u64), avg);
-                    }
-                }
+                let (server, report) = server.crash_and_recover()?;
                 self.report = Some(report);
                 Ok(server)
             }

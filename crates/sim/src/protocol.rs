@@ -18,30 +18,10 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
-use vcps_core::{BitArray, RsuId};
+use vcps_core::{BitArray, RsuId, MAX_UPLOAD_BITS};
 
 use crate::pki::Certificate;
 use crate::{MacAddress, SimError};
-
-/// Upper bound on the bit-array length a decoded upload may claim.
-///
-/// The scheme sizes arrays at `f̄ · n` rounded to a power of two; even
-/// the heaviest workload in the paper (500k vehicles, f̄ = 30) stays
-/// below 2^24 bits, so 2^32 (512 MiB dense) is generous while keeping
-/// a malicious frame from demanding an absurd allocation.
-///
-/// Deliberately a `u64`, not a `usize`: the length field arrives as a
-/// `u64` and must be bounds-checked *in that width* before any cast —
-/// `1usize << 32` would wrap to 0 on a 32-bit target (rejecting every
-/// frame), and casting a hostile length to `usize` first would let
-/// `(1 << 32) + 64` masquerade as 64 there. Decoders compare against
-/// this bound and only then convert via `upload_len_to_usize`.
-const MAX_UPLOAD_BITS: u64 = 1 << 32;
-
-/// The bound must mean 2^32 on every target; under the old
-/// `usize`-typed constant this assertion is exactly what a 32-bit
-/// build would have failed.
-const _: () = assert!(MAX_UPLOAD_BITS == 4_294_967_296);
 
 /// Validates a wire-claimed bit-array length against
 /// [`MAX_UPLOAD_BITS`] (in `u64`, pre-cast) and converts it to `usize`,

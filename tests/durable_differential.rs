@@ -2,12 +2,15 @@
 //! §17).
 //!
 //! The durability contract is that a server which crashes — losing
-//! *all* in-memory state — and recovers from its write-ahead log and
-//! checkpoints is indistinguishable from one that never crashed: same
-//! uploads, same pair estimates, same O–D matrices, and same registry
+//! *all* in-memory state — and recovers from its write-ahead log is
+//! indistinguishable from one that never crashed: same uploads, same
+//! history, same pair estimates, same O–D matrices, and same registry
 //! counters (modulo the `wal.*` series) at every shard count × worker
 //! count, under ideal channels and under seeded link-fault injection.
-//! A corrupted log tail must surface as a typed error and recovery must
+//! The log alone reproduces state — uploads, history seeds, and period
+//! closes are all records — so recovery must agree whether it starts
+//! from a close checkpoint, from none, or past a corrupted one. A
+//! corrupted log tail must surface as a typed error and recovery must
 //! land on the last valid record — never a panic, never silently
 //! accepted garbage.
 
@@ -20,10 +23,11 @@ use proptest::prelude::*;
 use vcps::hash::splitmix64;
 use vcps::obs::{Level, Obs};
 use vcps::roadnet::{Link, RoadNetwork, VehicleTrip};
+use vcps::sim::durable::CHECKPOINT_DIR;
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{
     DurableOptions, DurableServer, FaultPlan, FlushPolicy, LinkFaults, PeriodRun, PeriodSettings,
-    RetryPolicy, ServerCrash, ShardedServer,
+    RetryPolicy, ServerBackend, ServerCrash, ShardedServer, SimError,
 };
 use vcps::{BitArray, RsuId, Scheme};
 
@@ -149,15 +153,52 @@ where
     out
 }
 
-/// Ideal channels: a durable run — uninterrupted, crashed before the
-/// batch record, and crashed after it — must reproduce the plain
-/// sharded run's uploads, estimates, O–D matrix, and counters bit for
-/// bit at every shard × thread count, with and without checkpoints.
+/// How a durable run's checkpoints stand when recovery reads them.
+/// Checkpoints are a cache over the log, so both arms must recover the
+/// same state.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Checkpoints {
+    /// As each `finish_period` published them.
+    AsWritten,
+    /// `checkpoints/` deleted right after `create`: every close's
+    /// publish before the crash fails (counted in
+    /// `wal.checkpoint.failed`, stripped with the `wal.*` series), so
+    /// recovery finds none and replays the whole log.
+    Deleted,
+}
+
+fn durable_server(
+    scheme: &Scheme,
+    shards: usize,
+    dir: &std::path::Path,
+    checkpoints: Checkpoints,
+    obs: &Obs,
+) -> DurableServer {
+    let server = DurableServer::create(
+        scheme.clone(),
+        1.0,
+        shards,
+        dir,
+        DurableOptions::log_only(),
+        obs,
+    )
+    .expect("create durable server");
+    if checkpoints == Checkpoints::Deleted {
+        std::fs::remove_dir_all(dir.join(CHECKPOINT_DIR)).expect("delete checkpoints");
+    }
+    server
+}
+
+/// Ideal channels over two periods: a durable run — uninterrupted, and
+/// crashed at every ingest boundary — must reproduce the plain sharded
+/// run's uploads, history, estimates, O–D matrix, and counters bit for
+/// bit at every shard × thread count, whether recovery starts from the
+/// close checkpoint or from the log alone.
 #[test]
 fn ideal_crash_and_recover_is_bit_identical() {
     let seed = 0xD0_0D;
     let net = line4();
-    let trips = line4_trips(120, seed);
+    let periods = [line4_trips(120, seed), line4_trips(90, seed ^ 1)];
     let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
     let history = vec![120.0; 4];
 
@@ -169,7 +210,7 @@ fn ideal_crash_and_recover_is_bit_identical() {
                 .with_obs(ref_obs.clone()),
             &net,
             &net.free_flow_times(),
-            &[&trips],
+            &periods,
             &history,
         )
         .expect("reference run");
@@ -177,34 +218,26 @@ fn ideal_crash_and_recover_is_bit_identical() {
     let ref_matrix = reference.server.od_matrix_threads(1);
     let ref_pairs = all_pair_estimates(4, |a, b| reference.server.estimate_or_degraded(a, b));
 
-    let option_sets = [
-        DurableOptions::log_only(),
-        DurableOptions::log_only().with_checkpoint_every(1),
-    ];
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
-            for options in option_sets {
-                // The whole period travels as one batch record, so crash
-                // points 0 (empty-log recovery) and 1 (full-log recovery)
-                // cover both ends; `None` is the uninterrupted control.
-                for crash in [
-                    None,
-                    Some(ServerCrash { at_record: 0 }),
-                    Some(ServerCrash { at_record: 1 }),
-                ] {
+            for checkpoints in [Checkpoints::AsWritten, Checkpoints::Deleted] {
+                // The log is seed, batch 0, close, batch 1. The seed
+                // record shifts every boundary by one: crash points 1
+                // (seed-only log) and 2 (full period-0 log) are period
+                // 0's two ends, 3 and 4 period 1's, past the close
+                // checkpoint; `None` is the uninterrupted control.
+                for crash in [None, Some(1), Some(2), Some(3), Some(4)] {
                     let dir = scratch("ideal");
                     let obs = Obs::enabled(Level::Info);
-                    let server =
-                        DurableServer::create(scheme.clone(), 1.0, shards, &dir, options, &obs)
-                            .expect("create durable server");
+                    let server = durable_server(&scheme, shards, &dir, checkpoints, &obs);
                     let run = PeriodRun {
-                        crash,
+                        crash: crash.map(|at_record| ServerCrash { at_record }),
                         ..config(seed, threads)
                     }
-                    .run(server, &net, &net.free_flow_times(), &[&trips], &history)
+                    .run(server, &net, &net.free_flow_times(), &periods, &history)
                     .expect("durable run");
                     let label = format!(
-                        "{shards} shards x {threads} threads, crash {crash:?}, options {options:?}"
+                        "{shards} shards x {threads} threads, crash at {crash:?}, {checkpoints:?}"
                     );
                     // Snapshot before any reads — estimates and O–D
                     // decodes fire their own counters.
@@ -217,12 +250,24 @@ fn ideal_crash_and_recover_is_bit_identical() {
                         run.exchanges_per_period, reference.exchanges_per_period,
                         "exchanges: {label}"
                     );
-                    assert_eq!(run.server.records_logged(), 1, "wal records: {label}");
+                    assert_eq!(
+                        run.sizes_per_period, reference.sizes_per_period,
+                        "sizes: {label}"
+                    );
+                    assert_eq!(run.server.records_logged(), 4, "wal records: {label}");
                     assert_eq!(run.recovery.is_some(), crash.is_some(), "recovery: {label}");
-                    if let (Some(report), Some(c)) = (&run.recovery, crash) {
-                        if c.at_record == 0 {
-                            assert_eq!(report.replayed_records, 0, "empty-log recovery: {label}");
-                        }
+                    if let (Some(report), Some(at)) = (&run.recovery, crash) {
+                        let restored = if checkpoints == Checkpoints::AsWritten && at >= 3 {
+                            3
+                        } else {
+                            0
+                        };
+                        assert_eq!(report.checkpoint_records, restored, "checkpoint: {label}");
+                        assert_eq!(
+                            report.checkpoint_records + report.replayed_records,
+                            at,
+                            "recovery lands on the crash boundary: {label}"
+                        );
                         assert!(report.tail_error.is_none(), "clean tail: {label}");
                     }
                     for node in 0..4u64 {
@@ -230,6 +275,11 @@ fn ideal_crash_and_recover_is_bit_identical() {
                             run.server.server().upload(RsuId(node)),
                             reference.server.upload(RsuId(node)),
                             "upload for node {node}: {label}"
+                        );
+                        assert_eq!(
+                            run.server.server().history_average(RsuId(node)),
+                            reference.server.history_average(RsuId(node)),
+                            "history for node {node}: {label}"
                         );
                     }
                     assert_eq!(
@@ -252,17 +302,18 @@ fn ideal_crash_and_recover_is_bit_identical() {
     }
 }
 
-/// Link-fault injection: seeded drop / bit-flip / duplication on both
-/// channels, a retrying delivery path, and a server crash at the start,
-/// middle, and end of the period. The crashed-and-recovered run must
-/// replay the never-crashed faulty sharded run's every decision —
-/// identical fault metrics, undelivered sets, uploads, estimates, and
-/// counters.
+/// Link-fault injection over two periods: seeded drop / bit-flip /
+/// duplication on both channels, a retrying delivery path, and a server
+/// crash at the start and middle of period 0 and at the end of period 1.
+/// The crashed-and-recovered run must replay the never-crashed faulty
+/// sharded run's every decision — identical fault metrics, undelivered
+/// sets, uploads, history, estimates, and counters — from the close
+/// checkpoint or from the log alone.
 #[test]
 fn faulty_crash_and_recover_is_bit_identical() {
     let seed = 0xFA_CADE;
     let net = line4();
-    let trips = line4_trips(100, seed);
+    let periods = [line4_trips(100, seed), line4_trips(80, seed ^ 1)];
     let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
     let history = vec![100.0; 4];
     let report_link = LinkFaults::none().with_drop(0.2).with_bit_flip(0.1);
@@ -297,7 +348,7 @@ fn faulty_crash_and_recover_is_bit_identical() {
                     .with_obs(ref_obs.clone()),
                 &net,
                 &net.free_flow_times(),
-                &[&trips],
+                &periods,
                 &history,
             )
             .expect("reference faulty run");
@@ -312,30 +363,25 @@ fn faulty_crash_and_recover_is_bit_identical() {
             assert!(faults.upload_conflicts > 0);
         }
 
-        let option_sets = [
-            DurableOptions::log_only(),
-            DurableOptions::log_only().with_checkpoint_every(2),
-        ];
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
-                for options in option_sets {
-                    // Crash immediately, mid-period, and (via an at_record
-                    // the log never reaches) at period end.
+                for checkpoints in [Checkpoints::AsWritten, Checkpoints::Deleted] {
+                    // Crash immediately, mid-period 0, and (via an
+                    // at_record the log never reaches) at the end of
+                    // period 1, past the close checkpoint.
                     for at_record in [0, 2, 1 << 40] {
                         let dir = scratch("faulty");
                         let obs = Obs::enabled(Level::Info);
-                        let server =
-                            DurableServer::create(scheme.clone(), 1.0, shards, &dir, options, &obs)
-                                .expect("create durable server");
+                        let server = durable_server(&scheme, shards, &dir, checkpoints, &obs);
                         let run = PeriodRun {
                             crash: Some(ServerCrash { at_record }),
                             ..faulty(threads)
                         }
-                        .run(server, &net, &net.free_flow_times(), &[&trips], &history)
+                        .run(server, &net, &net.free_flow_times(), &periods, &history)
                         .expect("durable faulty run");
                         let label = format!(
                             "{shards} shards x {threads} threads, crash at {at_record}, \
-                             options {options:?}, upload link {:?}",
+                             {checkpoints:?}, upload link {:?}",
                             plan.upload_link
                         );
                         assert_eq!(
@@ -348,6 +394,10 @@ fn faulty_crash_and_recover_is_bit_identical() {
                             "exchanges: {label}"
                         );
                         assert_eq!(
+                            run.sizes_per_period, reference.sizes_per_period,
+                            "sizes: {label}"
+                        );
+                        assert_eq!(
                             run.faults_per_period, reference.faults_per_period,
                             "fault metrics: {label}"
                         );
@@ -357,11 +407,21 @@ fn faulty_crash_and_recover_is_bit_identical() {
                         );
                         let report = run.recovery.as_ref().expect("crash always recovers");
                         assert!(report.tail_error.is_none(), "clean tail: {label}");
+                        assert_eq!(
+                            report.checkpoint_records > 0,
+                            at_record == 1 << 40 && checkpoints == Checkpoints::AsWritten,
+                            "only a period-1 crash over written checkpoints restores one: {label}"
+                        );
                         for node in 0..4u64 {
                             assert_eq!(
                                 run.server.server().upload(RsuId(node)),
                                 reference.server.upload(RsuId(node)),
                                 "upload for node {node}: {label}"
+                            );
+                            assert_eq!(
+                                run.server.server().history_average(RsuId(node)),
+                                reference.server.history_average(RsuId(node)),
+                                "history for node {node}: {label}"
                             );
                         }
                         assert_eq!(
@@ -436,8 +496,8 @@ fn multi_period_durable_run_matches_sharded_and_recovers() {
     assert!(run.recovery.is_none());
     assert_eq!(
         run.server.records_logged(),
-        3,
-        "one batch record per period"
+        6,
+        "a seed record, one batch record per period, a close between periods"
     );
     assert_eq!(run.exchanges_per_period, reference.exchanges_per_period);
     assert_eq!(run.sizes_per_period, reference.sizes_per_period);
@@ -561,34 +621,59 @@ fn corrupted_tail_recovers_to_last_valid_record() {
     }
 }
 
-/// A checkpoint "ahead of" a corrupted log must be ignored: state is
-/// only trusted as far as the log that produced it, so recovery falls
-/// back to replaying the surviving prefix from scratch.
+/// A close checkpoint "ahead of" a corrupted log must be ignored:
+/// state is only trusted as far as the log that produced it, so
+/// recovery falls back to replaying the surviving prefix from scratch —
+/// uploads and the close inside it alike.
 #[test]
 fn checkpoint_past_corrupted_log_is_ignored() {
-    let frames = workload(6, 0xCAFE);
     let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
     let dir = scratch("stale-ckpt");
+    // Three closed periods (`None` is a close); sequence numbers climb
+    // by period so each period's frames are fresh.
+    let mut events: Vec<Option<SequencedUpload>> = Vec::new();
+    for period in 0..3u64 {
+        for mut frame in workload(6, 0xCAFE ^ period) {
+            frame.seq += 3 * period;
+            events.push(Some(frame));
+        }
+        events.push(None);
+    }
 
     let mut durable = DurableServer::create(
         scheme.clone(),
         1.0,
         2,
         &dir,
-        DurableOptions::log_only().with_checkpoint_every(1),
+        DurableOptions::log_only(),
         &Obs::disabled(),
     )
     .expect("create durable server");
-    for frame in &frames {
-        durable.receive_wire(&frame.encode()).expect("ingest");
+    for event in &events {
+        match event {
+            Some(frame) => {
+                durable.receive_wire(&frame.encode()).expect("ingest");
+            }
+            None => {
+                durable.finish_period().expect("close");
+            }
+        }
     }
     let wal_path = durable.wal_path().to_path_buf();
     drop(durable);
 
-    // Chop the log roughly in half: every checkpoint taken past the cut
-    // now describes state the surviving log cannot vouch for.
+    // Tear the log two records past the first close: the later close
+    // checkpoints now describe state the surviving log cannot vouch for.
+    let first_close = events.iter().position(Option::is_none).expect("a close") as u64 + 1;
+    let clean = vcps::durable::read_wal(&wal_path).expect("scan clean wal");
+    let record_start = |k: usize| {
+        8 + clean.records[..k]
+            .iter()
+            .map(|r| 16 + r.len())
+            .sum::<usize>()
+    };
     let mut wal = std::fs::read(&wal_path).expect("read wal");
-    wal.truncate(8 + (wal.len() - 8) / 2);
+    wal.truncate(record_start(first_close as usize + 2) + 5);
     std::fs::write(&wal_path, &wal).expect("rewrite wal");
 
     let (recovered, report) = DurableServer::recover(
@@ -600,15 +685,28 @@ fn checkpoint_past_corrupted_log_is_ignored() {
         &Obs::disabled(),
     )
     .expect("recovery");
-    let total = report.checkpoint_records + report.replayed_records;
-    assert!(
-        total < frames.len() as u64,
-        "truncation must lose tail records"
+    assert!(report.tail_error.is_some(), "the torn record is reported");
+    assert_eq!(
+        report.checkpoint_records, 0,
+        "the newest checkpoint is past the cut"
     );
+    assert_eq!(
+        report.replayed_records,
+        first_close + 2,
+        "the surviving prefix spans the first close"
+    );
+    let total = report.checkpoint_records + report.replayed_records;
 
     let mut prefix = ShardedServer::new(scheme.clone(), 1.0, 2).expect("prefix server");
-    for frame in frames.iter().take(total as usize) {
-        prefix.receive_sequenced(frame.clone());
+    for event in events.iter().take(total as usize) {
+        match event {
+            Some(frame) => {
+                prefix.receive_sequenced(frame.clone());
+            }
+            None => {
+                prefix.finish_period().expect("close");
+            }
+        }
     }
     assert_eq!(
         recovered.server().checkpoint(total),
@@ -616,6 +714,218 @@ fn checkpoint_past_corrupted_log_is_ignored() {
         "recovered state must equal the surviving-prefix state"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A seeded multi-period run whose newest close checkpoint is corrupted
+/// must recover exactly the never-crashed run: the closes and the seeds
+/// are in the log, so falling back to an older checkpoint — or to none —
+/// replays them instead of resurrecting a closed period's uploads.
+#[test]
+fn corrupted_close_checkpoint_recovers_from_the_log() {
+    let seed = 0x5EED_C105;
+    let net = line4();
+    let periods: Vec<Vec<VehicleTrip>> = [90u64, 150, 110]
+        .iter()
+        .enumerate()
+        .map(|(p, &count)| line4_trips(count, seed ^ p as u64))
+        .collect();
+    let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
+    let history = vec![60.0, 140.0, 90.0, 30.0];
+    for shards in SHARD_COUNTS {
+        let reference = config(seed, 1)
+            .run(
+                ShardedServer::new(scheme.clone(), 0.5, shards).expect("reference server"),
+                &net,
+                &net.free_flow_times(),
+                &periods,
+                &history,
+            )
+            .expect("reference run");
+        let dir = scratch("corrupt-ckpt");
+        let options = DurableOptions::log_only();
+        let server =
+            DurableServer::create(scheme.clone(), 0.5, shards, &dir, options, &Obs::disabled())
+                .expect("create durable server");
+        let run = config(seed, 1)
+            .run(server, &net, &net.free_flow_times(), &periods, &history)
+            .expect("durable run");
+        drop(run);
+
+        // Flip one payload byte of the newest close checkpoint.
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join(CHECKPOINT_DIR))
+            .expect("list checkpoints")
+            .map(|e| e.expect("entry").path())
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 2, "one checkpoint per close");
+        let newest = files.last().expect("a checkpoint");
+        let mut bytes = std::fs::read(newest).expect("read checkpoint");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(newest, &bytes).expect("corrupt checkpoint");
+
+        let (recovered, report) =
+            DurableServer::recover(scheme.clone(), 0.5, shards, &dir, options, &Obs::disabled())
+                .expect("recovery");
+        assert!(report.tail_error.is_none());
+        assert_eq!(
+            report.checkpoint_records, 3,
+            "{shards} shards: falls back to the first close checkpoint (seed, batch, close)"
+        );
+        assert_eq!(report.checkpoint_records + report.replayed_records, 6);
+        assert_eq!(
+            recovered.server().checkpoint(0),
+            reference.server.checkpoint(0),
+            "{shards} shards: recovered state must equal the never-crashed run"
+        );
+        assert_eq!(
+            all_pair_estimates(4, |a, b| recovered.server().estimate_or_degraded(a, b)),
+            all_pair_estimates(4, |a, b| reference.server.estimate_or_degraded(a, b)),
+            "{shards} shards: recovered pairs"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// One upload claiming `counter = u64::MAX` must not wedge period
+/// close: sizing saturates at the upload cap, so `finish_period`
+/// succeeds, every other RSU's history is folded exactly once, no
+/// upload survives the close, and the logged close replays to the same
+/// state bit for bit.
+#[test]
+fn absurd_counter_cannot_wedge_period_close() {
+    let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
+    let seeds: Vec<(RsuId, f64)> = (1..=6u64).map(|r| (RsuId(r), 10.0 * r as f64)).collect();
+    let upload = |rsu: u64, counter: u64| SequencedUpload {
+        seq: 0,
+        upload: PeriodUpload {
+            rsu: RsuId(rsu),
+            counter,
+            bits: BitArray::from_indices(64, [rsu as usize]).expect("in range"),
+        },
+    };
+    let frames: Vec<SequencedUpload> = (1..=6u64)
+        .map(|r| upload(r, if r == 4 { u64::MAX } else { 7 * r }))
+        .collect();
+
+    let mut reference = ShardedServer::new(scheme.clone(), 0.5, 2).expect("reference server");
+    reference.seed(&seeds).expect("seed");
+    for frame in &frames {
+        reference.receive_sequenced(frame.clone());
+    }
+    let sizes = reference
+        .finish_period()
+        .expect("one absurd counter must not fail the close");
+    assert_eq!(
+        reference.upload_count(),
+        0,
+        "every shard cleared its uploads"
+    );
+    assert_eq!(
+        sizes[&RsuId(4)],
+        1 << 32,
+        "sizing saturates at the upload cap"
+    );
+    for r in (1..=6u64).filter(|&r| r != 4) {
+        assert_eq!(
+            reference.history_average(RsuId(r)),
+            Some(0.5 * (10.0 * r as f64) + 0.5 * (7 * r) as f64),
+            "RSU {r} folded exactly once"
+        );
+    }
+    // Not wedged: the next close succeeds too.
+    let mut closed_twice = reference.clone();
+    closed_twice.finish_period().expect("second close");
+
+    let dir = scratch("wedge");
+    let mut durable = DurableServer::create(
+        scheme.clone(),
+        0.5,
+        2,
+        &dir,
+        DurableOptions::log_only(),
+        &Obs::disabled(),
+    )
+    .expect("create durable server");
+    durable.seed_history(&seeds).expect("seed");
+    for frame in &frames {
+        durable.receive_wire(&frame.encode()).expect("ingest");
+    }
+    assert_eq!(durable.finish_period().expect("close"), sizes);
+    drop(durable);
+    std::fs::remove_dir_all(dir.join(CHECKPOINT_DIR)).expect("delete checkpoints");
+    let (recovered, report) = DurableServer::recover(
+        scheme,
+        0.5,
+        2,
+        &dir,
+        DurableOptions::log_only(),
+        &Obs::disabled(),
+    )
+    .expect("recovery");
+    assert_eq!(report.replayed_records, 8, "seed, six uploads, close");
+    assert_eq!(
+        recovered.server().checkpoint(0),
+        reference.checkpoint(0),
+        "the replayed close must be bit-identical"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checksummed record that does not parse — a truncated seed record,
+/// a close with trailing bytes, any unknown tag — replays as a typed
+/// `MalformedMessage`, never a panic. (Checksums stop random damage
+/// first; this is a foreign or logically corrupted log.)
+#[test]
+fn malformed_log_records_replay_as_typed_errors() {
+    let golden = |name: &str| {
+        std::fs::read(
+            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("tests/data")
+                .join(name),
+        )
+        .expect("golden WAL record")
+    };
+    let (seed, close) = (golden("wal_seed.bin"), golden("wal_close.bin"));
+    let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
+    let replay = |record: &[u8]| {
+        let dir = scratch("malformed");
+        let mut wal = vcps::durable::WalWriter::create(dir.join("frames.wal")).expect("wal");
+        wal.append(&seed).expect("append");
+        wal.append(record).expect("append");
+        wal.sync().expect("sync");
+        let result = DurableServer::recover(
+            scheme.clone(),
+            1.0,
+            2,
+            &dir,
+            DurableOptions::log_only(),
+            &Obs::disabled(),
+        )
+        .map(|(server, report)| (server.server().checkpoint(0), report.replayed_records));
+        let _ = std::fs::remove_dir_all(&dir);
+        result
+    };
+    let mut malformed: Vec<Vec<u8>> = (1..seed.len()).map(|cut| seed[..cut].to_vec()).collect();
+    malformed.push([&seed[..], &[0]].concat());
+    malformed.push([&close[..], &[0]].concat());
+    malformed.push(Vec::new());
+    // Every tag byte, alone and with a short body: only the close record
+    // is a valid one-byte record, and no upload frame is this short.
+    for tag in 0..=u8::MAX {
+        if tag != close[0] {
+            malformed.push(vec![tag]);
+        }
+        malformed.push(vec![tag, 0xFF, 0xFF, 0xFF]);
+    }
+    for record in &malformed {
+        assert!(
+            matches!(replay(record), Err(SimError::MalformedMessage { .. })),
+            "record {record:02x?} must replay as a typed MalformedMessage"
+        );
+    }
+    let (_, replayed) = replay(&close).expect("the golden records replay");
+    assert_eq!(replayed, 2);
 }
 
 proptest! {
@@ -633,15 +943,13 @@ proptest! {
         seed in any::<u64>(),
         rsus in 2u64..6,
         crash_at in any::<usize>(),
-        policy_kind in 0u8..4,
+        policy_kind in 0u8..3,
         every_n in 1u64..6,
-        every_bytes in 1u64..2048,
         flush_before_crash in any::<bool>(),
     ) {
         let policy = match policy_kind {
-            0 => FlushPolicy::PerRecord,
+            0 => FlushPolicy::EveryRecords(1),
             1 => FlushPolicy::EveryRecords(every_n),
-            2 => FlushPolicy::EveryBytes(every_bytes),
             _ => FlushPolicy::Manual,
         };
         let frames = workload(rsus, seed);
@@ -689,19 +997,9 @@ proptest! {
             prop_assert_eq!(durable_records, crash, "explicit flush makes everything durable");
         } else {
             match policy {
-                FlushPolicy::PerRecord => prop_assert_eq!(durable_records, crash),
+                // `EveryRecords(1)`: every record durable on append.
                 FlushPolicy::EveryRecords(n) => {
                     prop_assert_eq!(durable_records, crash - crash % n as usize)
-                }
-                FlushPolicy::EveryBytes(threshold) => {
-                    let buffered: u64 = frames[durable_records..crash]
-                        .iter()
-                        .map(|f| 16 + f.encode().len() as u64)
-                        .sum();
-                    prop_assert!(
-                        buffered < threshold,
-                        "an unflushed tail of {buffered} bytes contradicts threshold {threshold}"
-                    );
                 }
                 FlushPolicy::Manual => prop_assert_eq!(durable_records, 0),
             }

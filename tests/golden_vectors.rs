@@ -13,13 +13,14 @@
 
 use std::path::PathBuf;
 
+use vcps::obs::Obs;
 use vcps::sim::pki::TrustedAuthority;
 use vcps::sim::protocol::{
     BatchUpload, BitReport, CheckpointSet, PeriodUpload, PeriodUploadRef, Query, SequencedUpload,
     ServerCheckpoint,
 };
-use vcps::sim::{MacAddress, SimError, SimRsu};
-use vcps::{BitArray, RsuId};
+use vcps::sim::{DurableOptions, DurableServer, MacAddress, SimError, SimRsu};
+use vcps::{BitArray, RsuId, Scheme};
 
 fn data_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -129,6 +130,37 @@ fn vectors() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
+/// The history the golden seed record carries.
+const WAL_SEEDS: [(RsuId, f64); 2] = [(RsuId(3), 120.0), (RsuId(7), 0.5)];
+
+/// The WAL's own record kinds, read back from a durable server's log:
+/// a seed record for two RSUs and a close record. They never cross the
+/// network, but recovery replays these bytes from disk, so they are
+/// frozen like the wire frames.
+fn wal_record_vectors() -> Vec<(&'static str, Vec<u8>)> {
+    let dir = std::env::temp_dir().join(format!("vcps-golden-wal-{}", std::process::id()));
+    let mut durable = DurableServer::create(
+        Scheme::variable(2, 3.0, 9).expect("valid scheme"),
+        1.0,
+        2,
+        &dir,
+        DurableOptions::log_only(),
+        &Obs::disabled(),
+    )
+    .expect("create durable server");
+    durable.seed_history(&WAL_SEEDS).expect("seed");
+    durable.finish_period().expect("close");
+    let mut records = vcps::durable::read_wal(durable.wal_path())
+        .expect("scan wal")
+        .records;
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(records.len(), 2, "one seed record, one close record");
+    let close = records.pop().expect("close record");
+    let seed = records.pop().expect("seed record");
+    vec![("wal_seed.bin", seed), ("wal_close.bin", close)]
+}
+
 /// Builds an upload header by hand — these frames are unrepresentable
 /// through the encoders (the types cannot hold a zero-length or
 /// 2^32-bit array), so the error vectors are raw bytes.
@@ -227,6 +259,46 @@ fn golden_vectors_decode_and_round_trip() {
 }
 
 #[test]
+fn golden_wal_records_freeze_the_log_format() {
+    let vectors = wal_record_vectors();
+    for (name, encoded) in &vectors {
+        let frozen = std::fs::read(data_path(name)).unwrap_or_else(|e| {
+            panic!("missing golden vector {name}: {e} (run the ignored `regenerate` test once)")
+        });
+        assert_eq!(
+            encoded, &frozen,
+            "{name}: the durable server's record diverged from the frozen log bytes — \
+             an existing WAL would no longer replay"
+        );
+    }
+    // The frozen bytes replay: the seeds land in history, then the close
+    // folds nothing (no uploads) and keeps them.
+    let dir = std::env::temp_dir().join(format!("vcps-golden-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create dir");
+    let mut wal = vcps::durable::WalWriter::create(dir.join("frames.wal")).expect("wal");
+    for (name, _) in &vectors {
+        wal.append(&std::fs::read(data_path(name)).expect("golden record"))
+            .expect("append");
+    }
+    wal.sync().expect("sync");
+    let (recovered, report) = DurableServer::recover(
+        Scheme::variable(2, 3.0, 9).expect("valid scheme"),
+        1.0,
+        2,
+        &dir,
+        DurableOptions::log_only(),
+        &Obs::disabled(),
+    )
+    .expect("golden records replay");
+    assert_eq!(report.replayed_records, 2);
+    for (rsu, average) in WAL_SEEDS {
+        assert_eq!(recovered.server().history_average(rsu), Some(average));
+    }
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn golden_error_vectors_reject_with_the_frozen_reason() {
     for (name, bytes) in error_vectors() {
         let frozen = std::fs::read(data_path(name)).unwrap_or_else(|e| {
@@ -264,7 +336,11 @@ fn golden_vectors_cover_every_protocol_tag() {
 fn regenerate() {
     let dir = data_path("");
     std::fs::create_dir_all(&dir).expect("create tests/data");
-    for (name, encoded) in vectors().into_iter().chain(error_vectors()) {
+    for (name, encoded) in vectors()
+        .into_iter()
+        .chain(error_vectors())
+        .chain(wal_record_vectors())
+    {
         std::fs::write(data_path(name), &encoded).expect("write golden vector");
         println!("wrote {name} ({} bytes)", encoded.len());
     }
